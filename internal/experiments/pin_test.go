@@ -1,0 +1,85 @@
+package experiments
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/kernels"
+	"repro/internal/matrix"
+)
+
+// The digests below were recorded before the measurement chain was
+// consolidated. %v prints a float64 in its shortest round-trip form,
+// so a digest matches only if every float matches bit for bit.
+
+// TestTrainingSamplesPinnedBits pins the serving layer's training
+// sweep, sample by sample.
+func TestTrainingSamplesPinnedBits(t *testing.T) {
+	cfg := TrainingConfig{
+		Sizes:         []int{32, 48},
+		Patterns:      []string{"gaussian(default)", "constant(random)", "gaussian(default) | sparsify(50%)"},
+		SampleOutputs: 32,
+		Seed:          3,
+	}
+	cases := []struct {
+		dt     matrix.DType
+		digest uint64
+	}{
+		{matrix.FP16T, 0x018f985a1eba18cf},
+		{matrix.INT8, 0x64772fc4eb1cbaae},
+	}
+	for _, c := range cases {
+		t.Run(c.dt.String(), func(t *testing.T) {
+			samples, err := TrainingSamples(device.A100PCIe(), c.dt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%+v", samples)
+			if got := h.Sum64(); got != c.digest {
+				t.Errorf("samples digest = %#x, want %#x", got, c.digest)
+			}
+		})
+	}
+}
+
+// TestRunPinnedBits pins reduced figure panels cell by cell: one with
+// B in normal storage at the per-dtype default tiles, one with Bᵀ and
+// a tile override. Both include FP16 and FP16-T, which share one base
+// matrix per (seed, side) but differ in tile and power coefficients.
+func TestRunPinnedBits(t *testing.T) {
+	cases := []struct {
+		exp    Experiment
+		tile   kernels.TileConfig
+		digest uint64
+	}{
+		{Fig5aSortRows(), kernels.TileConfig{}, 0xfbabed2fa161a078},
+		{Fig6aSparsity(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0xb00dc49a99e61128},
+	}
+	for _, c := range cases {
+		t.Run(c.exp.ID, func(t *testing.T) {
+			cfg := Config{
+				Device:        device.A100PCIe(),
+				Size:          64,
+				DTypes:        []matrix.DType{matrix.FP32, matrix.FP16, matrix.FP16T, matrix.INT8},
+				Seeds:         2,
+				SampleOutputs: 32,
+				VMInstance:    1,
+				Tile:          c.tile,
+			}
+			fr, err := Run(c.exp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, dt := range cfg.DTypes {
+				fmt.Fprintf(h, "%v %+v\n", dt, fr.Series[dt])
+			}
+			if got := h.Sum64(); got != c.digest {
+				t.Errorf("panel digest = %#x, want %#x", got, c.digest)
+			}
+		})
+	}
+}
