@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -109,10 +108,10 @@ type proxy struct {
 	// from client-side symptoms: chaos.requests (counted POSTs),
 	// chaos.forwarded (requests the upstream saw), and one
 	// chaos.injected.<kind> counter per fault kind.
-	metrics   *telemetry.MetricSet
-	requests  *telemetry.Counter
-	forwarded *telemetry.Counter
-	injected  map[faultinject.Kind]*telemetry.Counter
+	metrics   *obs.MetricSet
+	requests  *obs.Counter
+	forwarded *obs.Counter
+	injected  map[faultinject.Kind]*obs.Counter
 
 	mu    sync.Mutex
 	count int
@@ -128,8 +127,8 @@ func newProxy(upstream string, plan *faultinject.Plan, shard int) *proxy {
 			MaxIdleConnsPerHost: 256,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		metrics:  telemetry.NewMetricSet(),
-		injected: map[faultinject.Kind]*telemetry.Counter{},
+		metrics:  obs.NewMetricSet(),
+		injected: map[faultinject.Kind]*obs.Counter{},
 	}
 	p.requests = p.metrics.Counter("chaos.requests")
 	p.forwarded = p.metrics.Counter("chaos.forwarded")

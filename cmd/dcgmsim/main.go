@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
-	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
@@ -52,16 +50,11 @@ func main() {
 	b := matrix.New(dt, *size, *size)
 	pat.Apply(a, rng.Derive(*seed, "A"))
 	pat.Apply(b, rng.Derive(*seed, "B"))
-	prob := kernels.NewTransposedProblem(dt, a, b)
-
-	rep, err := activity.Analyze(prob, activity.Config{Seed: 0xAC71})
+	ch, err := core.RunChain(dev, dt, a, b, core.ChainSpec{TransposeB: true})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	res, err := power.Evaluate(dev, prob, rep)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	res := ch.Power
 	iters := int(*duration / res.IterTimeS)
 	if iters < 1 {
 		iters = 1

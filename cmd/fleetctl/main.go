@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -105,7 +106,7 @@ func main() {
 
 	var oracle fleet.Oracle = fleet.NewModelOracle()
 	if *serveURL != "" {
-		oracle = fleet.NewHTTPOracle(strings.TrimRight(*serveURL, "/"))
+		oracle = fleet.BackendOracle(cluster.NewHTTPBackend(strings.TrimRight(*serveURL, "/"), nil))
 	}
 
 	ctl, err := fleet.NewController(fleet.Config{

@@ -48,6 +48,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/sched"
@@ -170,7 +171,7 @@ func main() {
 
 	var oracle fleet.Oracle = fleet.NewModelOracle()
 	if *serveURL != "" {
-		oracle = fleet.NewHTTPOracle(strings.TrimRight(*serveURL, "/"))
+		oracle = fleet.BackendOracle(cluster.NewHTTPBackend(strings.TrimRight(*serveURL, "/"), nil))
 	}
 
 	cfg := fleet.Config{

@@ -47,7 +47,7 @@ func main() {
 		go servePprof("powerserve", *pprofAddr)
 	}
 
-	srv := serve.New(serve.Config{
+	srv := serve.NewCore(serve.Config{
 		CacheSize:     *cache,
 		Shards:        *shards,
 		QueueDepth:    *queue,
@@ -58,7 +58,7 @@ func main() {
 
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           serve.Handler(srv),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      5 * time.Minute, // /train sweeps take a while

@@ -3,7 +3,9 @@
 // arXiv:2409.18324): a bit-accurate GPU GEMM simulator with an
 // activity-based power model, a DCGM-like telemetry layer, and a full
 // experiment harness that regenerates every figure of the paper's
-// evaluation.
+// evaluation. The measurement chain (tiling → activity → power model)
+// is wired once, in internal/core's RunChain; the harness, the
+// prediction service and the command-line tools all run through it.
 //
 // Beyond the batch reproduction, internal/serve exposes the paper's §V
 // input-dependent power model as a concurrent prediction service: a
@@ -12,9 +14,8 @@
 // by (device, dtype, canonical pattern, size) that lets repeated
 // queries skip the GEMM-simulation hot path, and a sharded worker pool
 // sized by GOMAXPROCS. The package is layered transport-free core
-// first: serve.Core implements the Backend interface, serve.Server is
-// a thin HTTP adapter over it, and serve.Handler mounts any Backend
-// behind the five endpoints (/predict, /predict/batch, /train,
+// first: serve.Core implements the Backend interface and serve.Handler
+// mounts any Backend behind the five endpoints (/predict, /predict/batch, /train,
 // /healthz, /metrics — see docs/API.md). cmd/powerserve serves one
 // Core; internal/cluster shards the prediction keyspace across many
 // (deterministic consistent-hash ring, fan-out/fan-in batch routing,

@@ -39,9 +39,9 @@ func main() {
 	// One serving instance answers every run through /predict/batch
 	// semantics; its LRU carries across runs, so repeated keys are
 	// free the second time too.
-	srv := serve.New(serve.Config{})
+	srv := serve.NewCore(serve.Config{})
 	defer srv.Close()
-	oracle := fleet.NewServerOracle(srv)
+	oracle := fleet.BackendOracle(srv)
 
 	expensive := []string{
 		"gaussian(default)",
@@ -88,7 +88,9 @@ func main() {
 	fmt.Printf("capping to the cheap stream's peak cost %.0f%% extra makespan and %d throttle events\n",
 		100*(capped.DurationS-hot.DurationS)/hot.DurationS, capEvents)
 
-	st := oracle.Stats()
+	// The oracle outlives the runs, so the last report's lookup counts
+	// cover all three.
+	st := capped.Oracle
 	fmt.Printf("\nbatched prediction: %d job lookups resolved by %d distinct simulations (%.1f× coalescing)\n",
 		st.Lookups, st.Distinct, float64(st.Lookups)/float64(st.Distinct))
 }

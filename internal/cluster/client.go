@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 )
 
 // clusterTraceSeed seeds the router tracer's ID stream — a constant,
@@ -122,28 +121,28 @@ type Client struct {
 	retryDelay *backoff
 	budget     *tokenBucket // nil = unlimited
 
-	metrics         *telemetry.MetricSet
-	requests        *telemetry.Counter
-	batches         *telemetry.Counter
-	items           *telemetry.Counter
-	subbatches      *telemetry.Counter
-	reroutes        *telemetry.Counter
-	shardErrors     *telemetry.Counter
-	failures        *telemetry.Counter
-	retryAttempts   *telemetry.Counter
-	retryRecovered  *telemetry.Counter
-	budgetSpent     *telemetry.Counter
-	budgetExhausted *telemetry.Counter
-	fallbackServed  *telemetry.Counter
-	resizeEpochs    *telemetry.Counter
-	rangesMoved     *telemetry.Counter
-	keysMoved       *telemetry.Counter
-	entriesMigrated *telemetry.Counter
-	replayed        *telemetry.Counter
-	replayFailures  *telemetry.Counter
-	exportFailures  *telemetry.Counter
-	coldMisses      *telemetry.Counter
-	downGauge       *telemetry.Gauge
+	metrics         *obs.MetricSet
+	requests        *obs.Counter
+	batches         *obs.Counter
+	items           *obs.Counter
+	subbatches      *obs.Counter
+	reroutes        *obs.Counter
+	shardErrors     *obs.Counter
+	failures        *obs.Counter
+	retryAttempts   *obs.Counter
+	retryRecovered  *obs.Counter
+	budgetSpent     *obs.Counter
+	budgetExhausted *obs.Counter
+	fallbackServed  *obs.Counter
+	resizeEpochs    *obs.Counter
+	rangesMoved     *obs.Counter
+	keysMoved       *obs.Counter
+	entriesMigrated *obs.Counter
+	replayed        *obs.Counter
+	replayFailures  *obs.Counter
+	exportFailures  *obs.Counter
+	coldMisses      *obs.Counter
+	downGauge       *obs.Gauge
 
 	// Per-hop distributions: how long one upstream attempt takes, how
 	// long the client sleeps between same-shard retries, and how wide a
@@ -212,7 +211,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.RetrySeed == 0 {
 		cfg.RetrySeed = defaultRetrySeed
 	}
-	m := telemetry.NewMetricSet()
+	m := obs.NewMetricSet()
 	c := &Client{
 		cfg:             cfg,
 		retryDelay:      newBackoff(cfg.RetryBase, cfg.RetryCap, cfg.RetrySeed),

@@ -11,11 +11,13 @@
 //	    core.Options{Seed: 1})
 //	fmt.Println(m.AvgPowerW)
 //
-// The Simulator wires together the full measurement chain the paper
-// describes in §III: CUTLASS-style kernel tiling, activity extraction,
-// the switched-capacitance power model with TDP/thermal throttling, and
-// a DCGM-like 100 ms sampler with warm-up trimming and VM-instance
-// process variation.
+// RunChain is the one place the measurement chain the paper describes
+// in §III is wired: CUTLASS-style kernel tiling, activity extraction
+// and the switched-capacitance power model with TDP/thermal
+// throttling. The Simulator adds a DCGM-like 100 ms sampler with
+// warm-up trimming and VM-instance process variation; the experiment
+// harness, the serving layer and the command-line tools call RunChain
+// directly.
 package core
 
 import (
@@ -37,9 +39,6 @@ type Options struct {
 	// zero value differs from the paper default; use DefaultOptions()
 	// or the experiments package for paper-faithful runs.
 	TransposeB bool
-	// Iterations is the GEMM loop length; 0 picks a duration long
-	// enough for stable DCGM sampling (paper: 10k/20k iterations).
-	Iterations int
 	// SampleOutputs bounds the sampled activity terms (0 = default).
 	SampleOutputs int
 	// Seed drives input generation (A and B derive distinct streams).
@@ -68,6 +67,10 @@ type Measurement struct {
 	BusyFrac       float64
 	Throttled      bool
 	SteadyTempC    float64
+	// MemBound reports that the roofline memory floor, not the compute
+	// waves, sets the kernel time (a function of shape and device
+	// only).
+	MemBound bool
 
 	// Activity is the underlying switching-activity report.
 	Activity *activity.Report
@@ -96,35 +99,21 @@ func NewSimulator(dev *device.Device) (*Simulator, error) {
 // Device returns the simulated device.
 func (s *Simulator) Device() *device.Device { return s.dev }
 
-// MeasureGEMM measures one GEMM with explicit operand matrices. B is
-// the generated matrix; it is transposed before use if opts.TransposeB
-// is set.
+// MeasureGEMM measures one GEMM of a's datatype with explicit operand
+// matrices: the measurement chain (RunChain) followed by DCGM-style
+// sampling over a loop long enough for stable samples. B is the
+// generated matrix; it is consumed as Bᵀ if opts.TransposeB is set.
 func (s *Simulator) MeasureGEMM(a, b *matrix.Matrix, opts Options) (*Measurement, error) {
-	prob := kernels.NewProblem(a.DType, a, b)
-	if opts.TransposeB {
-		// Transposed storage: the problem consumes b's transpose without
-		// materializing it (bit-identical results, no copy).
-		prob = kernels.NewTransposedProblem(a.DType, a, b)
-	}
-	if opts.Tile != (kernels.TileConfig{}) {
-		prob.Tile = opts.Tile
-	}
-	rep, err := activity.Analyze(prob, activity.Config{
+	ch, err := RunChain(s.dev, a.DType, a, b, ChainSpec{
+		TransposeB:    opts.TransposeB,
+		Tile:          opts.Tile,
 		SampleOutputs: opts.SampleOutputs,
-		Seed:          0xAC71,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := power.Evaluate(s.dev, prob, rep)
-	if err != nil {
-		return nil, err
-	}
-	iters := opts.Iterations
-	if iters <= 0 {
-		iters = telemetry.RecommendedIterations(res)
-	}
-	meas, err := telemetry.Measure(res, iters, telemetry.Config{
+	rep, res := ch.Activity, ch.Power
+	meas, err := telemetry.Measure(res, telemetry.RecommendedIterations(res), telemetry.Config{
 		VMInstance: opts.VMInstance,
 		Seed:       opts.Seed,
 	})
@@ -139,6 +128,7 @@ func (s *Simulator) MeasureGEMM(a, b *matrix.Matrix, opts Options) (*Measurement
 		BusyFrac:       meas.BusyFrac,
 		Throttled:      meas.Throttled,
 		SteadyTempC:    res.SteadyTempC,
+		MemBound:       res.MemBound,
 		Activity:       rep,
 		Breakdown:      res.Breakdown,
 		Features:       power.FeaturesOf(rep, res),

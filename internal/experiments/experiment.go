@@ -13,12 +13,11 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
-	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -193,27 +192,17 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 	a, aStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "A", seed, seedA, cfg.Size, false)
 	g, bStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "B", seed, seedB, cfg.Size, !transposeB)
 
-	var prob *kernels.Problem
-	if transposeB {
-		prob = kernels.NewTransposedProblem(dt, a, g)
-	} else {
-		prob = kernels.NewProblem(dt, a, g)
-	}
-	if cfg.Tile != (kernels.TileConfig{}) {
-		prob.Tile = cfg.Tile
-	}
-	rep, err := activity.AnalyzeWithStats(prob, activity.Config{
+	ch, err := core.RunChain(cfg.Device, dt, a, g, core.ChainSpec{
+		TransposeB:    transposeB,
+		Tile:          cfg.Tile,
 		SampleOutputs: cfg.SampleOutputs,
-		// Fixed sampling seed: configurations differ only in inputs.
-		Seed: 0xAC71,
-	}, aStats, bStats)
+		AStats:        aStats,
+		BStats:        bStats,
+	})
 	if err != nil {
 		return runOutcome{}, err
 	}
-	res, err := power.Evaluate(cfg.Device, prob, rep)
-	if err != nil {
-		return runOutcome{}, err
-	}
+	rep, res := ch.Activity, ch.Power
 	// Paper iteration counts, raised when the kernel is so fast (small
 	// test sizes) that the run would not span enough 100 ms samples.
 	iters := iterationsFor(dt)
@@ -302,28 +291,11 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	}
 
 	results := make([]result, len(jobs))
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobCh {
-				j := jobs[idx]
-				out, err := runOne(cfg, exp, exp.Points[j.pi], cfg.DTypes[j.di], j.seed, cache, uses[j.di], streamUses, streamClasses)
-				results[idx] = result{job: j, out: out, err: err}
-			}
-		}()
-	}
-	for idx := range jobs {
-		jobCh <- idx
-	}
-	close(jobCh)
-	wg.Wait()
+	fanOut(len(jobs), cfg.Workers, func(idx int) {
+		j := jobs[idx]
+		out, err := runOne(cfg, exp, exp.Points[j.pi], cfg.DTypes[j.di], j.seed, cache, uses[j.di], streamUses, streamClasses)
+		results[idx] = result{job: j, out: out, err: err}
+	})
 
 	fr := &FigureResult{Experiment: exp, Config: cfg, Series: map[matrix.DType][]Cell{}}
 	for di, dt := range cfg.DTypes {
@@ -364,6 +336,33 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		fr.Series[dt] = cells
 	}
 	return fr, nil
+}
+
+// fanOut calls run(idx) for every idx in [0, n) on at most workers
+// goroutines, handing out indices in ascending order. Callers store
+// results by index, so their order never depends on scheduling.
+func fanOut(n, workers int, run func(idx int)) {
+	if workers > n {
+		workers = n
+	}
+	// One buffered slot per worker: each can take its next index
+	// without waiting for the sender to be scheduled.
+	idxCh := make(chan int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range idxCh {
+				run(idx)
+			}
+		}()
+	}
+	for idx := 0; idx < n; idx++ {
+		idxCh <- idx
+	}
+	close(idxCh)
+	wg.Wait()
 }
 
 // PowerSwing returns the relative spread (max-min)/max of mean power

@@ -9,15 +9,12 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
-	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
 	"repro/internal/power"
-	"repro/internal/rng"
 )
 
 // TrainingConfig describes a reduced sweep for fitting a
@@ -103,28 +100,10 @@ func TrainingSamples(dev *device.Device, dt matrix.DType, cfg TrainingConfig) ([
 	}
 	samples := make([]power.Sample, len(jobs))
 	errs := make([]error, len(jobs))
-
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobCh {
-				j := jobs[idx]
-				samples[idx], errs[idx] = trainingRun(dev, dt, cfg, cfg.Sizes[j.si], pats[j.pi], j.pi)
-			}
-		}()
-	}
-	for idx := range jobs {
-		jobCh <- idx
-	}
-	close(jobCh)
-	wg.Wait()
+	fanOut(len(jobs), cfg.Workers, func(idx int) {
+		j := jobs[idx]
+		samples[idx], errs[idx] = trainingRun(dev, dt, cfg, cfg.Sizes[j.si], pats[j.pi], j.pi)
+	})
 
 	for idx, err := range errs {
 		if err != nil {
@@ -140,37 +119,25 @@ func TrainingSamples(dev *device.Device, dt matrix.DType, cfg TrainingConfig) ([
 func trainingRun(dev *device.Device, dt matrix.DType, cfg TrainingConfig, size int, pat patterns.Pattern, pi int) (power.Sample, error) {
 	// Distinct streams per pattern so corpora with repeated bases still
 	// produce independent draws; A and B always differ (§III).
-	base := rng.Derive(cfg.Seed+uint64(pi)*7919, "training/"+pat.Name)
-	a := matrix.New(dt, size, size)
-	pat.Apply(a, rng.Derive(base.Uint64(), "A"))
-	b := matrix.New(dt, size, size)
-	pat.Apply(b, rng.Derive(base.Uint64(), "B"))
-
-	prob := kernels.NewTransposedProblem(dt, a, b)
-	rep, err := activity.Analyze(prob, activity.Config{
-		SampleOutputs: cfg.SampleOutputs,
-		Seed:          0xAC71,
-	})
+	a, b := core.Operands(dt, size, pat, cfg.Seed+uint64(pi)*7919, "training/"+pat.Name)
+	ch, err := core.RunChain(dev, dt, a, b, core.ChainSpec{TransposeB: true, SampleOutputs: cfg.SampleOutputs})
 	if err != nil {
 		return power.Sample{}, err
 	}
-	res, err := power.Evaluate(dev, prob, rep)
-	if err != nil {
-		return power.Sample{}, err
-	}
-	return power.SampleOf(rep, res), nil
+	return power.SampleOf(ch.Activity, ch.Power), nil
 }
 
 // TrainPredictor runs the sweep and fits the §V model, returning the
-// predictor with its in-sample R².
-func TrainPredictor(dev *device.Device, dt matrix.DType, cfg TrainingConfig) (*power.Predictor, float64, error) {
+// predictor with its in-sample R² and the number of sweep samples it
+// was fitted on.
+func TrainPredictor(dev *device.Device, dt matrix.DType, cfg TrainingConfig) (*power.Predictor, float64, int, error) {
 	samples, err := TrainingSamples(dev, dt, cfg)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	pred, err := power.Train(samples)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return pred, pred.RSquared(samples), nil
+	return pred, pred.RSquared(samples), len(samples), nil
 }

@@ -33,7 +33,7 @@ func TestTrainingSamplesDeterministicOrder(t *testing.T) {
 }
 
 func TestTrainPredictorFitsSweep(t *testing.T) {
-	pred, r2, err := TrainPredictor(device.A100PCIe(), matrix.FP16, DefaultTraining())
+	pred, r2, _, err := TrainPredictor(device.A100PCIe(), matrix.FP16, DefaultTraining())
 	if err != nil {
 		t.Fatal(err)
 	}

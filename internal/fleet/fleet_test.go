@@ -249,7 +249,7 @@ func TestServerOracleMatchesModelOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := serve.New(serve.Config{
+	srv := serve.NewCore(serve.Config{
 		CacheSize: 64, MaxSize: 192, SampleOutputs: 64,
 		Training: experiments.TrainingConfig{
 			Sizes: []int{32, 48, 64},
@@ -262,7 +262,7 @@ func TestServerOracleMatchesModelOracle(t *testing.T) {
 		},
 	})
 	defer srv.Close()
-	served, err := Run(context.Background(), Config{Devices: devs, Oracle: NewServerOracle(srv)}, tr)
+	served, err := Run(context.Background(), Config{Devices: devs, Oracle: BackendOracle(srv)}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

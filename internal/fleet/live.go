@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // tickBatch is how many ticks the controller loop integrates per lock
@@ -69,7 +68,7 @@ type JobStatus struct {
 
 // FleetStatus is the GET /fleet/status payload: the engine's simulated
 // clock and drive state, job counts by phase, the controller's
-// telemetry MetricSet snapshot, and one row per fleet instance.
+// obs.MetricSet snapshot, and one row per fleet instance.
 type FleetStatus struct {
 	NowS    float64 `json:"now_s"`
 	State   string  `json:"state"`
@@ -131,7 +130,7 @@ type Controller struct {
 	oracle  Oracle
 	models  []string
 	inFleet map[string]bool
-	metrics *telemetry.MetricSet
+	metrics *obs.MetricSet
 
 	// Admission latency split: resolveLat is the oracle round trip
 	// (possibly a remote serving ring), admitLat the locked in-memory
@@ -164,7 +163,7 @@ func NewController(cfg Config) (*Controller, error) {
 	for _, m := range eng.models {
 		inFleet[m] = true
 	}
-	m := telemetry.NewMetricSet()
+	m := obs.NewMetricSet()
 	c := &Controller{
 		oracle:   eng.cfg.Oracle,
 		models:   eng.models,

@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"sync"
 
@@ -174,31 +170,32 @@ func simulateKey(k OpKey, sampleOutputs int) (OperatingPoint, error) {
 	}, nil
 }
 
-// ServerOracle answers through an in-process serve.Server's batched
-// prediction path: one PredictBatch call per Resolve, one simulation
-// per distinct never-cached key (the server's LRU carries state across
-// calls). PredictedW comes from the server's fitted §V model.
-type ServerOracle struct {
-	// Server is the serving instance to query.
-	Server *serve.Server
+// BackendOracle answers through a serving backend's batched prediction
+// path: one PredictBatch call per Resolve, one simulation per distinct
+// never-cached key (the backend's cache carries state across calls).
+// The backend may be an in-process serve.Core, a cluster ring, or a
+// remote powerserve or powerrouter behind cluster.NewHTTPBackend.
+// PredictedW comes from the backend's fitted §V model. The returned
+// oracle reports its lookup counts in fleet reports.
+func BackendOracle(b serve.Backend) Oracle {
+	return &backendOracle{backend: b, distinct: make(map[OpKey]bool)}
+}
+
+type backendOracle struct {
+	backend serve.Backend
 
 	mu       sync.Mutex
 	lookups  int64
 	distinct map[OpKey]bool
 }
 
-// NewServerOracle wraps a serving instance.
-func NewServerOracle(s *serve.Server) *ServerOracle {
-	return &ServerOracle{Server: s, distinct: make(map[OpKey]bool)}
-}
-
 // Resolve maps the keys onto one PredictBatch call.
-func (o *ServerOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPoint, error) {
+func (o *backendOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPoint, error) {
 	batch := serve.BatchRequest{Requests: make([]serve.PredictRequest, len(keys))}
 	for i, k := range keys {
-		batch.Requests[i] = k.predictRequest()
+		batch.Requests[i] = serve.PredictRequest{Device: k.Device, DType: k.DType, Pattern: k.Pattern, Size: k.Size}
 	}
-	resp, err := o.Server.PredictBatch(ctx, batch)
+	resp, err := o.backend.PredictBatch(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -216,85 +213,10 @@ func (o *ServerOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPo
 }
 
 // Stats reports lookup and distinct-key counts.
-func (o *ServerOracle) Stats() OracleStats {
+func (o *backendOracle) Stats() OracleStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return OracleStats{Lookups: o.lookups, Distinct: int64(len(o.distinct))}
-}
-
-// HTTPOracle answers through a remote powerserve instance's
-// POST /predict/batch endpoint, so a fleet simulation can be driven
-// against a shared serving deployment.
-type HTTPOracle struct {
-	// BaseURL is the server root, e.g. "http://localhost:8090".
-	BaseURL string
-	// Client is the HTTP client to use (nil = http.DefaultClient).
-	Client *http.Client
-
-	mu       sync.Mutex
-	lookups  int64
-	distinct map[OpKey]bool
-}
-
-// NewHTTPOracle points at a running powerserve instance.
-func NewHTTPOracle(baseURL string) *HTTPOracle {
-	return &HTTPOracle{BaseURL: baseURL, distinct: make(map[OpKey]bool)}
-}
-
-// Resolve posts the keys as one /predict/batch request.
-func (o *HTTPOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPoint, error) {
-	batch := serve.BatchRequest{Requests: make([]serve.PredictRequest, len(keys))}
-	for i, k := range keys {
-		batch.Requests[i] = k.predictRequest()
-	}
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, o.BaseURL+"/predict/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := o.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	httpResp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		return nil, fmt.Errorf("fleet: /predict/batch status %d: %s", httpResp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var resp serve.BatchResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("fleet: /predict/batch decode: %w", err)
-	}
-	out, err := batchToOps(keys, &resp)
-	if err != nil {
-		return nil, err
-	}
-	o.mu.Lock()
-	o.lookups += int64(len(keys))
-	for _, k := range keys {
-		o.distinct[k] = true
-	}
-	o.mu.Unlock()
-	return out, nil
-}
-
-// Stats reports lookup and distinct-key counts.
-func (o *HTTPOracle) Stats() OracleStats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return OracleStats{Lookups: o.lookups, Distinct: int64(len(o.distinct))}
-}
-
-func (k OpKey) predictRequest() serve.PredictRequest {
-	return serve.PredictRequest{Device: k.Device, DType: k.DType, Pattern: k.Pattern, Size: k.Size}
 }
 
 // batchToOps converts a batch response back into operating points,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/serve"
 )
@@ -72,7 +73,7 @@ func TestHTTPOraclePerItemError(t *testing.T) {
 	srv := httptest.NewServer(serve.Handler(core))
 	t.Cleanup(srv.Close)
 
-	o := NewHTTPOracle(srv.URL)
+	o := BackendOracle(cluster.NewHTTPBackend(srv.URL, nil))
 	keys := []OpKey{
 		{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "constant(1)", Size: 32},
 		{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "zorp(", Size: 32},
@@ -99,7 +100,7 @@ func TestHTTPOracleServerDown(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close() // connections now refused
 
-	o := NewHTTPOracle(srv.URL)
+	o := BackendOracle(cluster.NewHTTPBackend(srv.URL, nil))
 	_, err := o.Resolve(context.Background(), []OpKey{
 		{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "constant(1)", Size: 32},
 	})
@@ -125,7 +126,7 @@ func TestHTTPOracleMalformedResponse(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(handler)
 			t.Cleanup(srv.Close)
-			o := NewHTTPOracle(srv.URL)
+			o := BackendOracle(cluster.NewHTTPBackend(srv.URL, nil))
 			_, err := o.Resolve(context.Background(), []OpKey{
 				{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "constant(1)", Size: 32},
 			})
@@ -145,7 +146,7 @@ func TestHTTPOracleContextCancellation(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	o := NewHTTPOracle(srv.URL)
+	o := BackendOracle(cluster.NewHTTPBackend(srv.URL, nil))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -162,7 +163,7 @@ func TestHTTPOracleContextCancellation(t *testing.T) {
 
 func TestHTTPOracleAgainstRouterEquivalence(t *testing.T) {
 	// The fleet oracle pointed at a single node and at a 2-shard
-	// router must produce identical operating points — HTTPOracle is
+	// router must produce identical operating points — the oracle is
 	// unchanged, the router is just another base URL.
 	single := serve.NewCore(oracleServeConfig())
 	t.Cleanup(single.Close)
@@ -175,13 +176,13 @@ func TestHTTPOracleAgainstRouterEquivalence(t *testing.T) {
 		{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "constant(1)", Size: 32}, // duplicate
 		{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "gaussian(default)", Size: 24},
 	}
-	want, err := NewHTTPOracle(singleSrv.URL).Resolve(context.Background(), keys)
+	want, err := BackendOracle(cluster.NewHTTPBackend(singleSrv.URL, nil)).Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	routerURL := startRouter(t, 2)
-	got, err := NewHTTPOracle(routerURL).Resolve(context.Background(), keys)
+	got, err := BackendOracle(cluster.NewHTTPBackend(routerURL, nil)).Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +190,49 @@ func TestHTTPOracleAgainstRouterEquivalence(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("key %d: router operating point %+v != single-node %+v", i, got[i], want[i])
 		}
+	}
+}
+
+func TestHTTPBackendOracleRunMatchesModelOracle(t *testing.T) {
+	// The -serve path end to end: a fleet run whose operating points
+	// travel over HTTP to a serving node must reach the same physical
+	// outcome as the offline model oracle at the same fidelity.
+	tr, err := Synthetic(SyntheticConfig{
+		Jobs: 12, RatePerS: 400, Seed: 9,
+		DTypes: []string{"FP16", "INT8"}, Patterns: []string{"gaussian(default)", "constant(7)"},
+		Sizes: []int{32, 48}, MinIterations: 1000, MaxIterations: 4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := []*device.Device{device.A100PCIe(), device.A100PCIe()}
+	cfg := oracleServeConfig()
+
+	offline, err := Run(context.Background(), Config{
+		Devices: devs, Oracle: &ModelOracle{SampleOutputs: cfg.SampleOutputs},
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	core := serve.NewCore(cfg)
+	t.Cleanup(core.Close)
+	srv := httptest.NewServer(serve.Handler(core))
+	t.Cleanup(srv.Close)
+	backend := cluster.NewHTTPBackend(srv.URL, nil)
+	t.Cleanup(backend.Close)
+	served, err := Run(context.Background(), Config{Devices: devs, Oracle: BackendOracle(backend)}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if served.DurationS != offline.DurationS {
+		t.Errorf("makespan differs: served %v, offline %v", served.DurationS, offline.DurationS)
+	}
+	if served.FleetEnergyJ != offline.FleetEnergyJ {
+		t.Errorf("fleet energy differs: served %v, offline %v", served.FleetEnergyJ, offline.FleetEnergyJ)
+	}
+	if served.Oracle.Lookups != offline.Oracle.Lookups || served.Oracle.Distinct != offline.Oracle.Distinct {
+		t.Errorf("oracle stats differ: served %+v, offline %+v", served.Oracle, offline.Oracle)
 	}
 }

@@ -1,19 +1,16 @@
-package telemetry
+package obs
 
-// This file adds the operational-metrics side of the telemetry package:
-// where telemetry.go models the paper's DCGM measurement chain, these
-// counters instrument the reproduction itself when it runs as a service
-// (internal/serve). They are deliberately DCGM-flavoured — monotonic
-// counters and level gauges with high-water marks, snapshotted as a
-// flat name→value map — so a scrape of /healthz reads like a field
-// dump.
+// This file holds the operational metrics that instrument the
+// reproduction itself when it runs as a service (internal/serve,
+// internal/cluster, internal/fleet). They are deliberately
+// DCGM-flavoured — monotonic counters and level gauges with high-water
+// marks, snapshotted as a flat name→value map — so a scrape of
+// /healthz reads like a field dump.
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Counter is a monotonically increasing event count, safe for
@@ -62,7 +59,7 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // HighWater returns the maximum level ever observed.
 func (g *Gauge) HighWater() int64 { return g.high.Load() }
 
-// MetricSet is a named collection of counters, gauges and obs
+// MetricSet is a named collection of counters, gauges and
 // histograms. The zero value is ready to use. Histograms are kept out
 // of Snapshot on purpose: the flat JSON /metrics map predates them and
 // its bytes are pinned by equivalence tests, so distributions travel
@@ -72,7 +69,7 @@ type MetricSet struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	histograms map[string]*obs.Histogram
+	histograms map[string]*Histogram
 }
 
 // NewMetricSet returns an empty metric set.
@@ -113,21 +110,21 @@ func (m *MetricSet) Gauge(name string) *Gauge {
 // Histogram returns the latency histogram with the given name
 // (observations in nanoseconds, exposed in seconds), creating it on
 // first use. The same name always returns the same histogram.
-func (m *MetricSet) Histogram(name string) *obs.Histogram {
-	return m.histogram(name, obs.NewLatencyHistogram)
+func (m *MetricSet) Histogram(name string) *Histogram {
+	return m.histogram(name, NewLatencyHistogram)
 }
 
 // ValueHistogram returns the unit-less histogram with the given name
 // (sizes, widths, counts), creating it on first use.
-func (m *MetricSet) ValueHistogram(name string) *obs.Histogram {
-	return m.histogram(name, obs.NewHistogram)
+func (m *MetricSet) ValueHistogram(name string) *Histogram {
+	return m.histogram(name, NewHistogram)
 }
 
-func (m *MetricSet) histogram(name string, mk func() *obs.Histogram) *obs.Histogram {
+func (m *MetricSet) histogram(name string, mk func() *Histogram) *Histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.histograms == nil {
-		m.histograms = map[string]*obs.Histogram{}
+		m.histograms = map[string]*Histogram{}
 	}
 	h, ok := m.histograms[name]
 	if !ok {
@@ -139,10 +136,10 @@ func (m *MetricSet) histogram(name string, mk func() *obs.Histogram) *obs.Histog
 
 // HistogramSnapshots returns a point-in-time copy of every histogram,
 // keyed by name. Deliberately separate from Snapshot (see MetricSet).
-func (m *MetricSet) HistogramSnapshots() map[string]obs.HistogramSnapshot {
+func (m *MetricSet) HistogramSnapshots() map[string]HistogramSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]obs.HistogramSnapshot, len(m.histograms))
+	out := make(map[string]HistogramSnapshot, len(m.histograms))
 	for name, h := range m.histograms {
 		out[name] = h.Snapshot()
 	}
@@ -152,7 +149,7 @@ func (m *MetricSet) HistogramSnapshots() map[string]obs.HistogramSnapshot {
 // PromSnapshot bundles the set's counters, gauges (level and ".max"
 // high-water entries) and histograms in the typed form the Prometheus
 // text renderer needs.
-func (m *MetricSet) PromSnapshot() obs.PromSnapshot {
+func (m *MetricSet) PromSnapshot() PromSnapshot {
 	m.mu.Lock()
 	counters := make(map[string]int64, len(m.counters))
 	for name, c := range m.counters {
@@ -164,7 +161,7 @@ func (m *MetricSet) PromSnapshot() obs.PromSnapshot {
 		gauges[name+".max"] = g.HighWater()
 	}
 	m.mu.Unlock()
-	return obs.PromSnapshot{
+	return PromSnapshot{
 		Counters:   counters,
 		Gauges:     gauges,
 		Histograms: m.HistogramSnapshots(),

@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 // Concurrency hammer for MetricSet: counters, gauges and histograms
 // bashed from many goroutines. Run under -race (CI's test job does)

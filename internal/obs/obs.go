@@ -1,10 +1,14 @@
 // Package obs is the observability layer under the serving and fleet
-// stack: latency histograms, request tracing and Prometheus text
-// exposition. It is deliberately tiny and dependency-free (stdlib plus
-// the house RNG) so every other layer can use it without import
-// ceremony.
+// stack: counters and gauges, latency histograms, request tracing and
+// Prometheus text exposition. It is deliberately tiny and
+// dependency-free (stdlib plus the house RNG) so every other layer can
+// use it without import ceremony.
 //
-// Three pieces:
+// Four pieces:
+//
+//   - MetricSet: named Counters, Gauges (with high-water marks) and
+//     Histograms, created on first use. Snapshot is the flat JSON
+//     /metrics map; PromSnapshot feeds the exposition.
 //
 //   - Histogram: a lock-cheap, mergeable log-bucketed distribution.
 //     Bucket boundaries are fixed at compile time — 16 unit-wide

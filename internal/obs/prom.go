@@ -10,12 +10,12 @@ import (
 
 // PromSnapshot is one process's metrics in typed form, ready for
 // Prometheus text exposition. The JSON /metrics endpoint keeps serving
-// telemetry's flat snapshot unchanged; this struct exists so the prom
+// MetricSet's flat snapshot unchanged; this struct exists so the prom
 // renderer can emit correct # TYPE lines.
 type PromSnapshot struct {
 	// Counters are monotonically increasing totals.
 	Counters map[string]int64
-	// Gauges are instantaneous values (including telemetry's ".max"
+	// Gauges are instantaneous values (including MetricSet's ".max"
 	// high-water entries).
 	Gauges map[string]int64
 	// Histograms are latency / width distributions keyed by the house

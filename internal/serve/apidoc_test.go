@@ -47,9 +47,9 @@ func TestAPIDocExamplesRoundTrip(t *testing.T) {
 		t.Fatalf("found only %d powerserve roundtrip examples in docs/API.md, want ≥ 10", len(examples))
 	}
 
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	covered := map[string]bool{}

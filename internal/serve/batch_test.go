@@ -14,7 +14,7 @@ import (
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	// Every batch item must carry exactly the response a single
 	// /predict for the same request returns (Cached flag aside).
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	reqs := []PredictRequest{
@@ -48,7 +48,7 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 func TestPredictBatchCoalesces(t *testing.T) {
 	// 96 requests over 3 distinct keys (with spelling variants that
 	// canonicalize together) must cost at most 3 simulations.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	var reqs []PredictRequest
@@ -96,7 +96,7 @@ func TestPredictBatchCoalesces(t *testing.T) {
 func TestPredictBatchPerItemErrors(t *testing.T) {
 	// Invalid items fail in place with the single-shot error message;
 	// valid siblings still succeed.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	reqs := []PredictRequest{
@@ -135,9 +135,9 @@ func TestPredictBatchPerItemErrors(t *testing.T) {
 func TestPredictBatchHTTP(t *testing.T) {
 	// The endpoint speaks the documented JSON shape end to end and
 	// preserves request order.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	body, _ := json.Marshal(BatchRequest{Requests: []PredictRequest{
@@ -180,7 +180,7 @@ func TestPredictBatchHTTP(t *testing.T) {
 func TestPredictBatchConcurrent(t *testing.T) {
 	// Concurrent batches over overlapping keys stay race-clean and
 	// agree with the serial answers (CI runs this under -race).
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	keys := []PredictRequest{

@@ -3,7 +3,7 @@ package serve
 // The transport-free heart of the serving stack. Core owns the
 // prediction cache, the sharded worker pool and the predictor registry;
 // it implements Backend, the interface every transport (the HTTP
-// Server, the cluster router, in-process callers) serves through. A
+// Handler, the cluster router, in-process callers) serves through. A
 // cluster shard and a single node are the same object — Core — which is
 // what makes sharded answers byte-identical to single-node answers by
 // construction.
@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/patterns"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 )
 
 // Backend is the transport-free prediction surface: everything a
@@ -104,11 +103,11 @@ func ResolveRequest(req PredictRequest, maxSize int) (Resolved, error) {
 
 // Core is the single-node prediction engine: cache, worker pool and
 // predictor registry with no transport attached. It implements
-// Backend; Server wraps it in HTTP, cluster.Client fans out across
+// Backend; Handler wraps it in HTTP, cluster.Client fans out across
 // many of them, and tests and examples call it directly.
 type Core struct {
 	cfg      Config
-	metrics  *telemetry.MetricSet
+	metrics  *obs.MetricSet
 	cache    *lruCache
 	pool     *pool
 	registry *registry
@@ -117,17 +116,17 @@ type Core struct {
 	// oversubscribe the box and starve the predict pool.
 	trainMu sync.Mutex
 
-	hits        *telemetry.Counter
-	misses      *telemetry.Counter
-	simulations *telemetry.Counter
-	requests    *telemetry.Counter
-	failures    *telemetry.Counter
-	batches     *telemetry.Counter
-	coalesced   *telemetry.Counter
-	exported    *telemetry.Counter
-	imported    *telemetry.Counter
-	queueDepth  *telemetry.Gauge
-	inflight    *telemetry.Gauge
+	hits        *obs.Counter
+	misses      *obs.Counter
+	simulations *obs.Counter
+	requests    *obs.Counter
+	failures    *obs.Counter
+	batches     *obs.Counter
+	coalesced   *obs.Counter
+	exported    *obs.Counter
+	imported    *obs.Counter
+	queueDepth  *obs.Gauge
+	inflight    *obs.Gauge
 
 	// Per-endpoint latency distributions; predict is split by whether
 	// the LRU answered (hit) or the pool simulated (compute) — the two
@@ -145,7 +144,7 @@ type Core struct {
 // runs until Close).
 func NewCore(cfg Config) *Core {
 	cfg = cfg.withDefaults()
-	m := telemetry.NewMetricSet()
+	m := obs.NewMetricSet()
 	c := &Core{
 		cfg:         cfg,
 		metrics:     m,
@@ -202,7 +201,7 @@ func (c *Core) Histograms() map[string]obs.HistogramSnapshot {
 func (c *Core) PromMetrics() obs.PromSnapshot { return c.metrics.PromSnapshot() }
 
 // CacheHitRate returns hits/(hits+misses) over the core's lifetime.
-func (c *Core) CacheHitRate() float64 { return telemetry.HitRate(c.hits, c.misses) }
+func (c *Core) CacheHitRate() float64 { return obs.HitRate(c.hits, c.misses) }
 
 // CacheLen returns the number of cached predictions.
 func (c *Core) CacheLen() int { return c.cache.Len() }

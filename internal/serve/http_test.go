@@ -34,7 +34,7 @@ func TestHitRateZeroRequests(t *testing.T) {
 // the real handler: GET /metrics on a server that has answered nothing
 // must return a finite zero hit-rate.
 func TestMetricsEndpointZeroRequests(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()

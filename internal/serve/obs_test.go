@@ -27,9 +27,9 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 }
 
 func TestMetricsPromEndpoint(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	// One miss, one hit, one batch: populates hit, compute and batch
@@ -94,9 +94,9 @@ func TestMetricsJSONShapeUnchangedByObservability(t *testing.T) {
 	// The JSON body must stay exactly {metrics, cache_hit_rate} with no
 	// histogram entries — its bytes are diffed across topologies by the
 	// equivalence suites.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	resp := postJSON(t, ts.URL+"/predict", `{"size": 8}`)
@@ -137,9 +137,9 @@ func keysOf(m map[string]json.RawMessage) []string {
 }
 
 func TestDebugSpansAndTraceEcho(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/predict", strings.NewReader(`{"size": 8}`))

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // pool is a sharded worker pool: one goroutine per shard, each owning
@@ -17,7 +17,7 @@ import (
 // of racing through the GEMM-simulation hot path in parallel.
 type pool struct {
 	shards []chan *task
-	depth  *telemetry.Gauge
+	depth  *obs.Gauge
 	wg     sync.WaitGroup
 
 	mu     sync.RWMutex
@@ -37,7 +37,7 @@ type taskResult struct {
 // newPool starts shards workers (0 = GOMAXPROCS) with the given
 // per-shard queue capacity. depth, if non-nil, tracks the number of
 // submitted-but-unfinished tasks.
-func newPool(shards, queueCap int, depth *telemetry.Gauge) *pool {
+func newPool(shards, queueCap int, depth *obs.Gauge) *pool {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -45,7 +45,7 @@ func newPool(shards, queueCap int, depth *telemetry.Gauge) *pool {
 		queueCap = 256
 	}
 	if depth == nil {
-		depth = &telemetry.Gauge{}
+		depth = &obs.Gauge{}
 	}
 	p := &pool{
 		shards: make([]chan *task, shards),

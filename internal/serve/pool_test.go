@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 func TestPoolRunsTasks(t *testing.T) {
@@ -86,7 +86,7 @@ func TestPoolDistinctKeysRunConcurrently(t *testing.T) {
 }
 
 func TestPoolQueueDepthGauge(t *testing.T) {
-	depth := &telemetry.Gauge{}
+	depth := &obs.Gauge{}
 	p := newPool(1, 8, depth)
 	block := make(chan struct{})
 	var wg sync.WaitGroup

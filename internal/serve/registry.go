@@ -8,8 +8,8 @@ import (
 	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/telemetry"
 )
 
 // registry lazily trains and caches one §V power predictor per
@@ -18,7 +18,7 @@ import (
 // fitted model.
 type registry struct {
 	cfg       experiments.TrainingConfig
-	trainings *telemetry.Counter
+	trainings *obs.Counter
 
 	mu      sync.Mutex
 	entries map[regKey]*regEntry
@@ -45,9 +45,9 @@ type regEntry struct {
 	err     error
 }
 
-func newRegistry(cfg experiments.TrainingConfig, trainings *telemetry.Counter) *registry {
+func newRegistry(cfg experiments.TrainingConfig, trainings *obs.Counter) *registry {
 	if trainings == nil {
-		trainings = &telemetry.Counter{}
+		trainings = &obs.Counter{}
 	}
 	return &registry{
 		cfg:       cfg,
@@ -69,7 +69,7 @@ func (r *registry) Get(ctx context.Context, dev *device.Device, dt matrix.DType)
 		e = &regEntry{ready: make(chan struct{}), gen: r.nextGen}
 		r.entries[k] = e
 		r.mu.Unlock()
-		e.pred, e.r2, e.samples, e.err = trainSweep(dev, dt, r.cfg)
+		e.pred, e.r2, e.samples, e.err = experiments.TrainPredictor(dev, dt, r.cfg)
 		r.trainings.Inc()
 		close(e.ready)
 	} else {
@@ -89,7 +89,7 @@ func (r *registry) Get(ctx context.Context, dev *device.Device, dt matrix.DType)
 // Retrain runs a fresh sweep with the given configuration and swaps
 // the entry in, returning the new predictor entry.
 func (r *registry) Retrain(dev *device.Device, dt matrix.DType, cfg experiments.TrainingConfig) (*regEntry, error) {
-	pred, r2, n, err := trainSweep(dev, dt, cfg)
+	pred, r2, n, err := experiments.TrainPredictor(dev, dt, cfg)
 	r.trainings.Inc()
 	if err != nil {
 		return nil, err
@@ -113,18 +113,4 @@ func (r *registry) currentGen(devName string, dt matrix.DType) uint64 {
 		return e.gen
 	}
 	return 0
-}
-
-// trainSweep runs the reduced experiment sweep and fits the model,
-// reporting how many sweep samples went into the fit.
-func trainSweep(dev *device.Device, dt matrix.DType, cfg experiments.TrainingConfig) (*power.Predictor, float64, int, error) {
-	samples, err := experiments.TrainingSamples(dev, dt, cfg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	pred, err := power.Train(samples)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return pred, pred.RSquared(samples), len(samples), nil
 }

@@ -17,28 +17,25 @@
 //     herd of equal requests costs one simulation.
 //
 // The package is layered transport-free core first: Core owns cache,
-// pool and registry and implements Backend; Server is a thin HTTP
-// adapter over a Core (Handler adapts any Backend, which is how
-// cmd/powerrouter serves a whole internal/cluster ring through the
-// same five endpoints). Cache hit-rate, queue depth, in-flight
-// requests and simulation counts are exported through a
-// telemetry.MetricSet; cmd/powerserve wraps the whole thing in an
-// HTTP/JSON server and examples/loadgen drives it.
+// pool and registry and implements Backend; Handler is the HTTP
+// adapter over any Backend — a single-node Core in cmd/powerserve, a
+// whole internal/cluster ring in cmd/powerrouter, both through the
+// same endpoints. Cache hit-rate, queue depth, in-flight requests and
+// simulation counts are exported through an obs.MetricSet;
+// examples/loadgen drives the service.
 package serve
 
 import (
 	"fmt"
-	"net/http"
 	"runtime"
 
 	"repro/internal/activity"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
 	"repro/internal/power"
-	"repro/internal/rng"
 )
 
 // Request defaults and limits.
@@ -189,44 +186,16 @@ func badRequestf(format string, args ...any) error {
 	return BadRequestf(format, args...)
 }
 
-// Server is the HTTP face of a single-node Core: the Core embedded for
-// direct (transport-free) use plus the Handler adapter. Everything
-// stateful lives in the Core.
-type Server struct {
-	*Core
-}
-
-// New builds and starts a server (its worker pool runs until Close).
-func New(cfg Config) *Server {
-	return &Server{Core: NewCore(cfg)}
-}
-
-// Handler returns the HTTP mux serving this server's Core.
-func (s *Server) Handler() http.Handler { return Handler(s.Core) }
-
 // Simulate runs the deterministic measurement chain a /predict miss
 // executes: pattern-filled size² A and B (distinct streams derived
-// from the canonical pattern name, per §III), CUTLASS-style tiling,
-// activity extraction and the power model. Exported so tests and
-// clients can reproduce served numbers bit-for-bit.
+// from the canonical pattern name, per §III), then core.RunChain with
+// Bᵀ storage. Exported so tests and clients can reproduce served
+// numbers bit-for-bit.
 func Simulate(dev *device.Device, dt matrix.DType, pat patterns.Pattern, size, sampleOutputs int) (*activity.Report, *power.Result, error) {
-	base := rng.Derive(0x5E12FE, "serve/"+pat.Name)
-	a := matrix.New(dt, size, size)
-	pat.Apply(a, rng.Derive(base.Uint64(), "A"))
-	b := matrix.New(dt, size, size)
-	pat.Apply(b, rng.Derive(base.Uint64(), "B"))
-
-	prob := kernels.NewTransposedProblem(dt, a, b)
-	rep, err := activity.Analyze(prob, activity.Config{
-		SampleOutputs: sampleOutputs,
-		Seed:          0xAC71,
-	})
+	a, b := core.Operands(dt, size, pat, 0x5E12FE, "serve/"+pat.Name)
+	ch, err := core.RunChain(dev, dt, a, b, core.ChainSpec{TransposeB: true, SampleOutputs: sampleOutputs})
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := power.Evaluate(dev, prob, rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, res, nil
+	return ch.Activity, ch.Power, nil
 }

@@ -47,7 +47,7 @@ func TestPredictMatchesDirectPredictor(t *testing.T) {
 	// The served number must be exactly what a client gets by training
 	// the same sweep and calling power.Predictor.Predict directly.
 	cfg := testConfig()
-	s := New(cfg)
+	s := NewCore(cfg)
 	defer s.Close()
 
 	req := PredictRequest{Device: "A100-PCIe-40GB", DType: "FP16", Pattern: "gaussian(default)", Size: 96}
@@ -93,7 +93,7 @@ func TestConcurrentPredictsAgreeWithSerial(t *testing.T) {
 	// 64+ concurrent requests over a handful of keys: every response
 	// must equal the serial answer for its key, and the server must
 	// stay race-clean (enforced by -race in CI).
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	reqs := []PredictRequest{
@@ -144,7 +144,7 @@ func TestConcurrentPredictsAgreeWithSerial(t *testing.T) {
 func TestCacheHitRateOnRepeatedWorkload(t *testing.T) {
 	// A repeated-pattern workload must exceed 90% cache hit-rate and
 	// run the GEMM simulation exactly once per unique key.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 
 	uniques := []PredictRequest{
@@ -186,7 +186,7 @@ func TestCacheHitRateOnRepeatedWorkload(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	cases := []PredictRequest{
 		{Device: "TPUv4"},
@@ -205,7 +205,7 @@ func TestPredictValidation(t *testing.T) {
 }
 
 func TestTrainEndpointRetrainsAndPurges(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	req := PredictRequest{Pattern: "gaussian(default)", Size: 48}
 	if _, err := s.Predict(context.Background(), req); err != nil {
@@ -243,7 +243,7 @@ func TestTrainEndpointRetrainsAndPurges(t *testing.T) {
 func TestStaleGenerationEntryIsRecomputed(t *testing.T) {
 	// A cache fill from a superseded predictor generation (the
 	// train-vs-inflight-predict race) must be recomputed, not served.
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	req := PredictRequest{Pattern: "constant(3)", Size: 32}
 	fresh, err := s.Predict(context.Background(), req)
@@ -281,7 +281,7 @@ func TestStaleGenerationEntryIsRecomputed(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	cases := []TrainRequest{
 		{Device: "TPUv4"},
@@ -299,9 +299,9 @@ func TestTrainValidation(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	post := func(path string, body any) (*http.Response, []byte) {
@@ -419,9 +419,9 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
 	// One miss then one hit: the endpoint must expose the counters and
@@ -472,7 +472,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestRegistryTrainsOncePerCombination(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -498,7 +498,7 @@ func TestRegistryTrainsOncePerCombination(t *testing.T) {
 // BenchmarkPredictCached times the steady-state serving hot path: a
 // /predict that hits the LRU and never touches the GEMM simulation.
 func BenchmarkPredictCached(b *testing.B) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	req := PredictRequest{Pattern: "gaussian(default)", Size: 64}
 	if _, err := s.Predict(context.Background(), req); err != nil {
@@ -516,7 +516,7 @@ func BenchmarkPredictCached(b *testing.B) {
 // BenchmarkPredictUncached times a cache miss end to end (simulation
 // included) at the serving layer's default fidelity.
 func BenchmarkPredictUncached(b *testing.B) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	defer s.Close()
 	// Pay the lazy training outside the timer.
 	if _, err := s.Predict(context.Background(), PredictRequest{Size: 32}); err != nil {
@@ -532,7 +532,7 @@ func BenchmarkPredictUncached(b *testing.B) {
 }
 
 func TestMetricsGaugesSettle(t *testing.T) {
-	s := New(testConfig())
+	s := NewCore(testConfig())
 	if _, err := s.Predict(context.Background(), PredictRequest{Size: 32}); err != nil {
 		t.Fatal(err)
 	}
