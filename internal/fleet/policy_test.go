@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"hash/fnv"
 	"os"
 	"testing"
 
@@ -114,11 +115,11 @@ type badPolicy struct{}
 func (badPolicy) Name() string                                        { return "Bad" }
 func (badPolicy) Place(sched.Job, []sched.Candidate, sched.Fleet) int { return 99 }
 
-// TestPowerPackReducesThrottle reproduces the examples/schedfront
-// acceptance property: on a capped mixed-encoding stream, packing jobs
-// by dynamic power must yield strictly fewer cap-throttle events than
-// earliest-completion placement, at a makespan cost.
-func TestPowerPackReducesThrottle(t *testing.T) {
+// schedFrontConfig is the capped mixed-encoding scenario of CI's
+// policy A/B and horizon smokes: 96 size-512 jobs in three encodings
+// and six patterns on four A100s under a 310 W cap.
+func schedFrontConfig(t *testing.T, oracle Oracle) (Config, *Trace) {
+	t.Helper()
 	trace, err := Synthetic(SyntheticConfig{
 		Jobs:     96,
 		RatePerS: 300,
@@ -134,11 +135,77 @@ func TestPowerPackReducesThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	return Config{
 		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
-		Oracle:    smallOracle(),
+		Oracle:    oracle,
 		PowerCapW: 310,
+	}, trace
+}
+
+// TestPolicyFrontsMatchCIFixtures rebuilds CI's two fleetsim -compare
+// smokes in Go (default oracle fidelity, tick and horizon) and
+// requires their CSV fronts to equal the committed fixtures byte for
+// byte, so a placement change fails tier-1, not only CI.
+func TestPolicyFrontsMatchCIFixtures(t *testing.T) {
+	cfg, trace := schedFrontConfig(t, NewModelOracle())
+	for _, tc := range []struct {
+		fixture  string
+		policies []sched.Policy
+	}{
+		{"sched-front.csv", []sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}, sched.ThermalSpread{}, sched.EnergyGreedy{}}},
+		{"horizon-front.csv", []sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}, sched.PredictiveHorizon{WindowS: 30}}},
+	} {
+		want, err := os.ReadFile("../../.github/testdata/" + tc.fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace), tc.policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := front.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", tc.fixture, got.Bytes(), want)
+		}
 	}
+}
+
+// TestPredictiveHorizonDeepQueuePinned pins the JSON report of
+// fleetsim -policy PredictiveHorizon -cap 300 -jobs 512 -seed 1, whose
+// queues reach 431 committed segments (the CI fixtures peak at 89), by
+// an FNV-64a digest recorded before the projection sweep was rewritten.
+func TestPredictiveHorizonDeepQueuePinned(t *testing.T) {
+	trace, err := Synthetic(SyntheticConfig{Jobs: 512, RatePerS: 200, Seed: 1, Sizes: []int{128, 256, 512}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(context.Background(), Config{
+		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
+		Oracle:    NewModelOracle(),
+		Policy:    sched.PredictiveHorizon{WindowS: 30},
+		PowerCapW: 300,
+	}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	if err := r.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Sum64(), uint64(0xf89cf4fa87327abd); got != want {
+		t.Errorf("report digest %#x, want %#x", got, want)
+	}
+}
+
+// TestPowerPackReducesThrottle reproduces the examples/schedfront
+// acceptance property: on a capped mixed-encoding stream, packing jobs
+// by dynamic power must yield strictly fewer cap-throttle events than
+// earliest-completion placement, at a makespan cost.
+func TestPowerPackReducesThrottle(t *testing.T) {
+	cfg, trace := schedFrontConfig(t, smallOracle())
 	front, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace),
 		[]sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}})
 	if err != nil {
@@ -167,29 +234,12 @@ func TestPowerPackReducesThrottle(t *testing.T) {
 // the capped mixed-encoding schedfront scenario, projecting demand
 // over a horizon must trace a strictly better knee than packing by
 // instantaneous power — no more throttle events than PowerPack at a
-// materially lower makespan. The same three rows are committed as the
-// CI fixture .github/testdata/horizon-front.csv.
+// materially lower makespan. It runs the CI scenario at reduced oracle
+// fidelity (64 sampled outputs, not fleetsim's 128), so its rows are
+// not the committed fixture's; TestPolicyFrontsMatchCIFixtures pins
+// those.
 func TestPredictiveHorizonFront(t *testing.T) {
-	trace, err := Synthetic(SyntheticConfig{
-		Jobs:     96,
-		RatePerS: 300,
-		Seed:     42,
-		DTypes:   []string{"FP16", "FP16-T", "INT8"},
-		Patterns: []string{
-			"gaussian(default)", "gaussian(mean=500, std=1)",
-			"constant(7)", "gaussian(default) | sparsify(75%)",
-			"gaussian(default) | sort(rows, 100%)", "gaussian(default) | zerolsb(8)",
-		},
-		Sizes: []int{512},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
-		Oracle:    smallOracle(),
-		PowerCapW: 310,
-	}
+	cfg, trace := schedFrontConfig(t, smallOracle())
 	front, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace),
 		[]sched.Policy{sched.EarliestCompletion{}, sched.PowerPack{}, sched.PredictiveHorizon{WindowS: sched.DefaultHorizonWindowS}})
 	if err != nil {
