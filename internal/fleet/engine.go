@@ -120,9 +120,10 @@ type Engine struct {
 	pending   []*Job
 	submitted int
 
-	// candBuf/opBuf are admission scratch, reused across jobs.
+	// candBuf/opBuf/tlBuf are admission scratch, reused across jobs.
 	candBuf  []sched.Candidate
 	opBuf    []OperatingPoint
+	tlBuf    [][]sched.PowerSegment
 	powerBuf []float64
 
 	nowS       float64
@@ -400,15 +401,17 @@ func (e *Engine) admit(j *Job) {
 // timelines builds the per-instance committed dynamic-power profiles a
 // HorizonAware policy projects over: the running job's full-clock
 // remainder followed by each queued job's service time, each at its
-// operating point's dynamic draw. Horizon-oblivious runs get nil and
-// pay nothing.
+// operating point's dynamic draw. The slices are rebuilt in place at
+// every admission. Horizon-oblivious runs get nil and pay nothing.
 func (e *Engine) timelines() [][]sched.PowerSegment {
 	if e.windowS <= 0 {
 		return nil
 	}
-	tls := make([][]sched.PowerSegment, len(e.insts))
+	if e.tlBuf == nil {
+		e.tlBuf = make([][]sched.PowerSegment, len(e.insts))
+	}
 	for i, in := range e.insts {
-		var tl []sched.PowerSegment
+		tl := e.tlBuf[i][:0]
 		if in.cur != nil {
 			remaining := (float64(in.cur.job.Iterations) - in.doneIts) * in.cur.op.IterTimeS
 			if remaining > 0 {
@@ -418,9 +421,9 @@ func (e *Engine) timelines() [][]sched.PowerSegment {
 		for _, rj := range in.queue {
 			tl = append(tl, sched.PowerSegment{DurationS: rj.serviceS, DynPowerW: rj.op.PowerW - in.dev.IdleWatts})
 		}
-		tls[i] = tl
+		e.tlBuf[i] = tl
 	}
-	return tls
+	return e.tlBuf
 }
 
 // fail records a dropped job and emits its failure event.

@@ -233,9 +233,12 @@ func (p Pattern) RandomMSBs(n int) Pattern {
 type SortKind string
 
 const (
-	// SortRows orders whole rows by their leading value (Fig. 5a).
+	// SortRows places the lowest fraction of values, ascending, into
+	// the first row-major positions; the rest keep their relative
+	// order (matrix.SortIntoRows, Fig. 5a).
 	SortRows SortKind = "rows"
-	// SortCols orders whole columns analogously (Fig. 5c).
+	// SortCols does the same in column-major order
+	// (matrix.SortIntoCols, Fig. 5c).
 	SortCols SortKind = "cols"
 	// SortWithinRows sorts the values inside each row independently
 	// (Fig. 5d).

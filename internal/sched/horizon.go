@@ -2,7 +2,7 @@ package sched
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultHorizonWindowS is the projection window PredictiveHorizon uses
@@ -51,6 +51,7 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 		return PowerPack{}.Place(job, cands, fleet)
 	}
 	headroomW := fleet.PowerCapW - fleet.IdleSumW
+	committed := newHorizon(fleet.Timelines, p.WindowS, fleet.TickS)
 
 	bestSafe, bestUnsafe := -1, -1
 	bestSafeEta := math.Inf(1)
@@ -63,9 +64,7 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 		for _, seg := range fleet.Timelines[c.Index] {
 			start += seg.DurationS + fleet.TickS
 		}
-		peak := ProjectedPeakW(fleet.Timelines,
-			start, float64(job.Iterations)*c.IterTimeS, c.PowerW-c.IdleW,
-			p.WindowS, fleet.TickS)
+		peak := committed.peakWith(start, float64(job.Iterations)*c.IterTimeS, c.PowerW-c.IdleW)
 		over := peak - headroomW
 		e := eta(job, c)
 		if over <= horizonEpsW {
@@ -90,36 +89,89 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 // upper-bounds the simulator's tick-granular start times; demand beyond
 // the window is deliberately invisible, which is what makes the policy
 // a *horizon* rather than an exact solver. The computation is
-// deterministic: segments contribute in fleet order and the sweep is a
-// stable sort over breakpoints.
+// deterministic: breakpoints are summed in time order, and at equal
+// times committed ones (in fleet order) precede the extra segment's.
 func ProjectedPeakW(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
-	type delta struct{ t, dw float64 }
-	var deltas []delta
-	add := func(start, dur, dw float64) {
-		if dur <= 0 || dw == 0 || start >= windowS {
-			return
-		}
-		deltas = append(deltas, delta{start, dw})
-		if end := start + dur; end < windowS {
-			deltas = append(deltas, delta{end, -dw})
-		}
+	return newHorizon(timelines, windowS, padS).peakWith(extraStartS, extraDurS, extraDynW)
+}
+
+// breakpoint is a step of dw watts in projected demand at time t.
+type breakpoint struct{ t, dw float64 }
+
+// horizon is the committed part of a projection: every committed
+// segment's breakpoints inside the window, stable-sorted by time.
+// Place builds it once per admission and sweeps it once per candidate.
+type horizon struct {
+	bps           []breakpoint
+	windowS, padS float64
+}
+
+func newHorizon(timelines [][]PowerSegment, windowS, padS float64) horizon {
+	n := 0
+	for _, tl := range timelines {
+		n += 2 * len(tl)
 	}
+	h := horizon{bps: make([]breakpoint, 0, n), windowS: windowS, padS: padS}
 	for _, tl := range timelines {
 		t := 0.0
 		for _, seg := range tl {
-			add(t, seg.DurationS+padS, seg.DynPowerW)
+			h.bps = h.add(h.bps, t, seg.DurationS+padS, seg.DynPowerW)
 			t += seg.DurationS + padS
 		}
 	}
-	add(extraStartS, extraDurS+padS, extraDynW)
+	slices.SortStableFunc(h.bps, func(a, b breakpoint) int {
+		switch {
+		case a.t < b.t:
+			return -1
+		case b.t < a.t:
+			return 1
+		}
+		return 0
+	})
+	return h
+}
 
-	sort.SliceStable(deltas, func(a, b int) bool { return deltas[a].t < deltas[b].t })
+// add appends a segment's start and, if it ends inside the window, its
+// end. Empty, zero-watt and out-of-window segments add nothing.
+func (h horizon) add(bps []breakpoint, start, dur, dw float64) []breakpoint {
+	if dur <= 0 || dw == 0 || start >= h.windowS {
+		return bps
+	}
+	bps = append(bps, breakpoint{start, dw})
+	if end := start + dur; end < h.windowS {
+		bps = append(bps, breakpoint{end, -dw})
+	}
+	return bps
+}
+
+// peakWith sweeps the committed breakpoints with one extra padded
+// segment merged in and returns the peak demand. At equal times the
+// committed breakpoints are summed first, as one stable sort with the
+// extra segment appended last would order them, so the peak is the
+// same float to the bit.
+func (h horizon) peakWith(startS, durS, dynW float64) float64 {
+	extra := h.add(make([]breakpoint, 0, 2), startS, durS+h.padS, dynW)
+	bps := h.bps
 	var cur, peak float64
-	for i := 0; i < len(deltas); {
-		t := deltas[i].t
-		for i < len(deltas) && deltas[i].t == t {
-			cur += deltas[i].dw
+	i, j := 0, 0
+	for i < len(bps) || j < len(extra) {
+		// Each group's first breakpoint is consumed unconditionally, so
+		// a NaN time, which equals nothing, still advances the sweep.
+		var t float64
+		if j < len(extra) && (i == len(bps) || extra[j].t < bps[i].t) {
+			t = extra[j].t
+			cur += extra[j].dw
+			j++
+		} else {
+			t = bps[i].t
+			cur += bps[i].dw
 			i++
+		}
+		for ; i < len(bps) && bps[i].t == t; i++ {
+			cur += bps[i].dw
+		}
+		for ; j < len(extra) && extra[j].t == t; j++ {
+			cur += extra[j].dw
 		}
 		if cur > peak {
 			peak = cur

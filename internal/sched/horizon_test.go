@@ -1,6 +1,11 @@
 package sched
 
-import "testing"
+import (
+	"math"
+	"sort"
+	"testing"
+	"time"
+)
 
 func TestProjectedPeakWDemandCurve(t *testing.T) {
 	// Two instances with committed work, plus a candidate segment:
@@ -47,6 +52,160 @@ func TestProjectedPeakWTickPadding(t *testing.T) {
 	if got := ProjectedPeakW(timelines, 1, 1, 50, 10, 0.5); got != 150 {
 		t.Errorf("padded peak = %v, want 150", got)
 	}
+}
+
+func TestProjectedPeakWTerminatesOnNaN(t *testing.T) {
+	// A NaN breakpoint time equals nothing, not even itself; the sweep
+	// must still consume it and return.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ProjectedPeakW(nil, math.NaN(), 1, 1, 10, 0)
+		ProjectedPeakW([][]PowerSegment{{{DurationS: 1, DynPowerW: 100}, {DurationS: 2, DynPowerW: 50}}}, 0.5, 1, 30, 10, math.NaN())
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ProjectedPeakW did not return on a NaN start or pad")
+	}
+}
+
+// projectedPeakWRef is ProjectedPeakW as first written: every call
+// rebuilds all breakpoints, the extra segment's last, and stable-sorts
+// them. FuzzProjectedPeakW holds the shared-sort sweep to it.
+func projectedPeakWRef(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
+	type delta struct{ t, dw float64 }
+	var deltas []delta
+	add := func(start, dur, dw float64) {
+		if dur <= 0 || dw == 0 || start >= windowS {
+			return
+		}
+		deltas = append(deltas, delta{start, dw})
+		if end := start + dur; end < windowS {
+			deltas = append(deltas, delta{end, -dw})
+		}
+	}
+	for _, tl := range timelines {
+		t := 0.0
+		for _, seg := range tl {
+			add(t, seg.DurationS+padS, seg.DynPowerW)
+			t += seg.DurationS + padS
+		}
+	}
+	add(extraStartS, extraDurS+padS, extraDynW)
+
+	sort.SliceStable(deltas, func(a, b int) bool { return deltas[a].t < deltas[b].t })
+	var cur, peak float64
+	for i := 0; i < len(deltas); {
+		t := deltas[i].t
+		for i < len(deltas) && deltas[i].t == t {
+			cur += deltas[i].dw
+			i++
+		}
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
+}
+
+// Fuzz inputs draw from small tables so breakpoints coincide: ties
+// decide the summation order and so the peak's bits. The non-dyadic
+// entries make near-ties that rounding splits or joins, and each table
+// holds one non-finite entry.
+var (
+	fuzzDurS    = [16]float64{0, 1e-3, 0.1, 0.2, 0.25, 0.3, 0.5, 1, 1, 1.5, 2, 2, 3, 5, -0.5, math.NaN()}
+	fuzzDynW    = [16]float64{0, 0, 0.1, 0.2, 0.3, 1e-9, 25, 33.3, 50, 50, 75.5, 100, 150, 250, -20, math.Inf(1)}
+	fuzzWindowS = [8]float64{0.5, 1, 2, 2.5, 3, 5, 10, 30}
+	fuzzPadS    = [8]float64{0, 0, 1e-3, 0.1, 0.25, 0.5, 1, math.NaN()}
+	fuzzStartS  = [8]float64{0, 0.3, 0.5, 1, 2, 3, -1, math.NaN()}
+)
+
+// fuzzProjection is one decoded fuzz input: committed timelines, the
+// candidate segments projected against them, and the window and pad.
+type fuzzProjection struct {
+	timelines     [][]PowerSegment
+	cands         [][3]float64 // start, duration, dynamic watts
+	windowS, padS float64
+}
+
+func decodeProjection(data []byte) fuzzProjection {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	p := fuzzProjection{windowS: fuzzWindowS[next()%8], padS: fuzzPadS[next()%8]}
+	p.timelines = make([][]PowerSegment, next()%5)
+	for k := range p.timelines {
+		for n := next() % 8; n > 0; n-- {
+			p.timelines[k] = append(p.timelines[k], PowerSegment{DurationS: fuzzDurS[next()%16], DynPowerW: fuzzDynW[next()%16]})
+		}
+	}
+	for n := 1 + next()%4; n > 0; n-- {
+		durS, dynW := fuzzDurS[next()%16], fuzzDynW[next()%16]
+		var startS float64
+		switch sel := next(); {
+		case sel < 64 && len(p.timelines) > 0:
+			// Where Place starts a job: behind an instance's committed
+			// work, on that timeline's last breakpoint.
+			for _, seg := range p.timelines[int(sel)%len(p.timelines)] {
+				startS += seg.DurationS + p.padS
+			}
+		case sel < 96:
+			startS = p.windowS + float64(sel%2)*0.5 // at or past the window
+		default:
+			startS = fuzzStartS[sel%8]
+		}
+		p.cands = append(p.cands, [3]float64{startS, durS, dynW})
+	}
+	return p
+}
+
+// finite reports whether every input value is finite; only then is the
+// reference sure to return.
+func (p fuzzProjection) finite() bool {
+	vals := []float64{p.windowS, p.padS}
+	for _, tl := range p.timelines {
+		for _, seg := range tl {
+			vals = append(vals, seg.DurationS, seg.DynPowerW)
+		}
+	}
+	for _, c := range p.cands {
+		vals = append(vals, c[:]...)
+	}
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzProjectedPeakW requires ProjectedPeakW, and each candidate's
+// peak on the per-admission path Place uses (one newHorizon, one
+// peakWith per candidate), to equal the reference's bits.
+func FuzzProjectedPeakW(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodeProjection(data)
+		committed := newHorizon(p.timelines, p.windowS, p.padS)
+		finite := p.finite()
+		for _, c := range p.cands {
+			got := ProjectedPeakW(p.timelines, c[0], c[1], c[2], p.windowS, p.padS)
+			perAdmission := committed.peakWith(c[0], c[1], c[2])
+			if !finite {
+				continue
+			}
+			want := projectedPeakWRef(p.timelines, c[0], c[1], c[2], p.windowS, p.padS)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(perAdmission) != math.Float64bits(want) {
+				t.Fatalf("candidate %v on %+v (window %v, pad %v): ProjectedPeakW %v, per-admission %v, reference %v",
+					c, p.timelines, p.windowS, p.padS, got, perAdmission, want)
+			}
+		}
+	})
 }
 
 // horizonFleet is a two-instance capped fleet where instance 0 has one

@@ -122,7 +122,8 @@ type Fleet struct {
 	// Timelines is the committed dynamic-power profile of every fleet
 	// instance, indexed like the fleet (Candidate.Index addresses into
 	// it). It is only populated for policies that implement
-	// HorizonAware; nil otherwise.
+	// HorizonAware; nil otherwise. The simulator reuses the slices
+	// across admissions, so they are valid only during Place.
 	Timelines [][]PowerSegment
 }
 
