@@ -111,8 +111,9 @@ func projectedPeakWRef(timelines [][]PowerSegment, extraStartS, extraDurS, extra
 
 // Fuzz inputs draw from small tables so breakpoints coincide: ties
 // decide the summation order and so the peak's bits. The non-dyadic
-// entries make near-ties that rounding splits or joins, and each table
-// holds one non-finite entry.
+// entries make near-ties that rounding splits or joins. Every table but
+// the windows holds one non-finite entry; the finite entries are small
+// enough that no sum overflows.
 var (
 	fuzzDurS    = [16]float64{0, 1e-3, 0.1, 0.2, 0.25, 0.3, 0.5, 1, 1, 1.5, 2, 2, 3, 5, -0.5, math.NaN()}
 	fuzzDynW    = [16]float64{0, 0, 0.1, 0.2, 0.3, 1e-9, 25, 33.3, 50, 50, 75.5, 100, 150, 250, -20, math.Inf(1)}
