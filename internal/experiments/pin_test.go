@@ -49,6 +49,9 @@ func TestTrainingSamplesPinnedBits(t *testing.T) {
 // B in normal storage at the per-dtype default tiles, one with Bᵀ and
 // a tile override. Both include FP16 and FP16-T, which share one base
 // matrix per (seed, side) but differ in tile and power coefficients.
+// The placement and bit-sparsity panels cover the partial sorts (row-
+// and column-major walks, within-row sorts, a sort followed by
+// sparsity) and a zero-LSB step right after generation.
 func TestRunPinnedBits(t *testing.T) {
 	cases := []struct {
 		exp    Experiment
@@ -57,6 +60,10 @@ func TestRunPinnedBits(t *testing.T) {
 	}{
 		{Fig5aSortRows(), kernels.TileConfig{}, 0xfbabed2fa161a078},
 		{Fig6aSparsity(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0xb00dc49a99e61128},
+		{Fig5cSortCols(), kernels.TileConfig{}, 0x67132a9a13b420a2},
+		{Fig5dSortWithinRows(), kernels.TileConfig{}, 0xd42005d8d87e0d81},
+		{Fig6bSparsityAfterSort(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x92f4d459c214155b},
+		{Fig6cZeroLSB(), kernels.TileConfig{}, 0x560581eead7d0166},
 	}
 	for _, c := range cases {
 		t.Run(c.exp.ID, func(t *testing.T) {

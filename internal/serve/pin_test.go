@@ -27,6 +27,8 @@ func TestSimulatePinnedBits(t *testing.T) {
 		{matrix.FP16, "gaussian(default) | sparsify(50%)", 96, 0x404bcc5c794dd5ba, 0x1ed5f7e0f12c14d1},
 		{matrix.FP16T, "constant(random)", 96, 0x404ba0527b80156e, 0xf256d0890f4e5eec},
 		{matrix.INT8, "gaussian(default) | sort(rows, 100%)", 64, 0x404b98fde11b4f56, 0x0f84fef23582bac5},
+		{matrix.FP32, "gaussian(default) | sort(cols, 25%)", 64, 0x404bb1da95cb746e, 0x32c01f94b1db9b2b},
+		{matrix.FP16, "gaussian(default) | sort(withinrows, 50%)", 96, 0x404bd41674b64171, 0xbf9ec9a9dc3f926c},
 	}
 	dev := device.A100PCIe()
 	for _, c := range cases {
