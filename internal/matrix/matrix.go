@@ -177,24 +177,32 @@ func (m *Matrix) Clone() *Matrix {
 
 // Transpose returns a new matrix that is the transpose of m. The paper's
 // default configuration transposes B so both operands stream the same
-// pattern along the reduction dimension. The copy is tiled so both the
-// reads and the strided writes stay within cache lines per tile.
+// pattern along the reduction dimension.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.DType, m.Cols, m.Rows)
-	const tile = 64
-	for ii := 0; ii < m.Rows; ii += tile {
-		ihi := min(ii+tile, m.Rows)
-		for jj := 0; jj < m.Cols; jj += tile {
-			jhi := min(jj+tile, m.Cols)
+	transposeBits(out.Bits, m.Bits, m.Rows, m.Cols)
+	return out
+}
+
+// transposeBits writes the transpose of src, a rows×cols row-major
+// block, to dst as cols×rows. The copy is tiled so both the reads and
+// the strided writes stay within cache lines per tile; tiles are small
+// because power-of-two strides map a tile's destination lines to few
+// cache sets.
+func transposeBits(dst, src []uint32, rows, cols int) {
+	const tile = 8
+	for ii := 0; ii < rows; ii += tile {
+		ihi := min(ii+tile, rows)
+		for jj := 0; jj < cols; jj += tile {
+			jhi := min(jj+tile, cols)
 			for i := ii; i < ihi; i++ {
-				row := m.Bits[i*m.Cols : (i+1)*m.Cols]
+				row := src[i*cols : (i+1)*cols]
 				for j := jj; j < jhi; j++ {
-					out.Bits[j*m.Rows+i] = row[j]
+					dst[j*rows+i] = row[j]
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Equal reports whether two matrices have identical dtype, shape, and

@@ -3,7 +3,7 @@ package matrix
 import (
 	"math"
 	"math/bits"
-	"slices"
+	"sync"
 
 	"repro/internal/bitops"
 	"repro/internal/rng"
@@ -14,9 +14,9 @@ import (
 // mutate the matrix in place; callers clone first if they need the
 // original.
 
-// clampFrac clamps a fraction to [0, 1].
+// clampFrac clamps a fraction to [0, 1], mapping NaN to 0.
 func clampFrac(f float64) float64 {
-	if f < 0 {
+	if !(f >= 0) {
 		return 0
 	}
 	if f > 1 {
@@ -34,189 +34,269 @@ func countOf(frac float64, n int) int {
 	return k
 }
 
-// orderKeyFn returns the raw-pattern → sortable-key mapping for a
-// datatype: the unsigned order of the key matches the decoded numeric
-// order, without decoding to float. For the sign-magnitude FP formats
-// the classic flip works at the native width; INT8 just flips the sign
-// bit of the two's-complement pattern. NaN payloads order arbitrarily
-// but deterministically (they sort above +Inf of their sign).
-func orderKeyFn(dt DType) func(uint32) uint32 {
-	switch dt {
-	case FP32:
-		return func(b uint32) uint32 {
-			if b&0x80000000 != 0 {
-				return ^b
-			}
-			return b | 0x80000000
-		}
-	case FP16, FP16T, BF16T:
-		return func(b uint32) uint32 {
-			h := uint16(b)
-			if h&0x8000 != 0 {
-				return uint32(^h)
-			}
-			return uint32(h) | 0x8000
-		}
-	case INT8:
-		return func(b uint32) uint32 { return uint32(uint8(b)) ^ 0x80 }
-	default:
-		panic("matrix: unknown dtype")
-	}
-}
-
-// sortKeyIdx sorts packed (key<<32 | index) entries by a stable 2-pass
-// 16-bit LSD radix over the key field. The input arrives in index
-// order, and LSD stability makes the result ordered by (key, index) —
-// exactly a full uint64 sort of the packed entries, at O(n) instead of
-// O(n log n) for the multi-million-element full-scale matrices. Small
-// inputs keep the comparison sort (the histogram pass would dominate).
-func sortKeyIdx(keys []uint64) {
-	if len(keys) < 1<<14 {
-		slices.Sort(keys)
-		return
-	}
-	tmp := make([]uint64, len(keys))
-	var count [1 << 16]int32
-	for pass := 0; pass < 2; pass++ {
-		shift := uint(32 + 16*pass)
-		clear(count[:])
-		for _, k := range keys {
-			count[(k>>shift)&0xFFFF]++
-		}
-		var sum int32
-		for b := range count {
-			c := count[b]
-			count[b] = sum
-			sum += c
-		}
-		for _, k := range keys {
-			b := (k >> shift) & 0xFFFF
-			tmp[count[b]] = k
-			count[b]++
-		}
-		keys, tmp = tmp, keys
-	}
-	// Two passes: the fully sorted data is back in the caller's slice.
-}
-
-// partialSortInto reorders the elements so that the k smallest values,
-// sorted ascending, occupy the positions listed in dst[:k]; the
-// remaining elements fill the remaining positions of dst in their
-// original relative order. dst must be a permutation of all indices.
+// orderKey maps a raw bit pattern to an unsigned sort key whose order
+// matches the decoded numeric order, without decoding to float:
 //
-// The argsort packs each element's order key and index into one uint64
-// (key high, index low) so a single primitive radix/pdq sort does a
-// stable value sort — the paper's 2048² matrices hold 4.2M elements,
-// and an interface-based sort.SliceStable here dominated whole
-// experiment sweeps. Order keys come straight from the raw bit
-// patterns (orderKeyFn), so no element is decoded.
-func partialSortInto(m *Matrix, frac float64, dst []int) {
-	partialSortIntoScratch(m, frac, dst, &sortScratch{})
+//	key(b) = (b & mask) ^ flip
+//
+// flip is the key's top (sign) bit, widened to every stored bit when a
+// floating-point pattern is negative — the classic sign-magnitude flip
+// at the datatype's native width. INT8 only flips the sign bit of the
+// two's-complement pattern. Bits above the width are ignored. NaN
+// payloads order arbitrarily but deterministically (they sort above
+// ±Inf of their sign).
+//
+// The struct keeps to four fields so the compiler holds it in
+// registers inside the sort loops.
+type orderKey struct {
+	mask, top, wide uint32
+	shift           uint32 // moves the pattern's sign bit to bit 31
 }
 
-// sortScratch holds the working buffers of partialSortIntoScratch so
-// per-row callers (SortWithinRows) can reuse them across many small
-// sorts instead of reallocating three buffers per row.
-type sortScratch struct {
-	keys     []uint64
-	isLowest []bool
-	out      []uint32
-}
-
-func (sc *sortScratch) grow(n int) {
-	if cap(sc.keys) < n {
-		sc.keys = make([]uint64, n)
-		sc.isLowest = make([]bool, n)
-		sc.out = make([]uint32, n)
+func orderKeyOf(dt DType) orderKey {
+	w := dt.Width()
+	k := orderKey{mask: bitops.LowMask(w), top: 1 << (w - 1), shift: uint32(32 - w)}
+	if dt.IsFloat() {
+		k.wide = k.mask
 	}
-	sc.keys = sc.keys[:n]
-	sc.isLowest = sc.isLowest[:n]
-	sc.out = sc.out[:n]
-	clear(sc.isLowest)
+	return k
 }
 
-func partialSortIntoScratch(m *Matrix, frac float64, dst []int, sc *sortScratch) {
-	n := len(m.Bits)
-	k := countOf(frac, n)
+func (o orderKey) of(b uint32) uint32 {
+	return (b & o.mask) ^ (o.top | uint32(int32(b<<o.shift)>>31)&o.wide)
+}
+
+// width returns the key width in bits: 8, 16 or 32.
+func (o orderKey) width() int { return bits.OnesCount32(o.mask) }
+
+// countingMin is the input size from which 16-bit keys take the
+// counting path and FP32 radix passes take 16-bit digits: below it,
+// clearing and scanning 65536 buckets costs more than the 8-bit
+// passes it saves.
+const countingMin = 1 << 14
+
+// sortWork is the working memory of one partial sort: two word buffers
+// and the bucket counts. It lives in sortPool between calls, so
+// steady-state sorts allocate nothing; the pool releases it at garbage
+// collection.
+type sortWork struct {
+	a, b  []uint32
+	count []uint32
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortWork) }}
+
+// sized returns buf resliced to n elements, reallocated if too small.
+func sized(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
+	}
+	return buf[:n]
+}
+
+// partialSort returns, in one of w's buffers, the elements of src
+// reordered so that the k smallest (1 ≤ k ≤ len(src)) come first,
+// ascending by order key and, among equal keys, by original index;
+// the other elements follow in their original order. It moves the
+// original 32-bit words and leaves src unchanged.
+//
+// 8-bit keys, and 16-bit keys on large inputs, take one histogram
+// pass and one scatter (countingPartial). FP32, and 16-bit keys on
+// short inputs such as SortWithinRows' rows, take a stable LSD radix
+// sort followed by a pass that collects the remainder (radixPartial).
+// Both are linear in len(src).
+func (w *sortWork) partialSort(src []uint32, key orderKey, k int) []uint32 {
+	n := len(src)
+	w.a = sized(w.a, n)
+	width := key.width()
+	if width == 8 || width == 16 && n >= countingMin {
+		w.count = sized(w.count, 1<<width)
+		countingPartial(src, w.a, w.count, key, k)
+		return w.a
+	}
+	digitBits := 8
+	if n >= countingMin {
+		digitBits = 16
+	}
+	w.b = sized(w.b, n)
+	w.count = sized(w.count, width/digitBits<<digitBits)
+	return radixPartial(src, w.a, w.b, w.count, key, digitBits, k)
+}
+
+// countingPartial is partialSort over one bucket per key. The
+// histogram gives the threshold key t, the smallest whose cumulative
+// count reaches k. Keys below t, and the first elements with key t up
+// to a total of k, scatter to their prefix-sum positions; every other
+// element goes to the remainder in the same pass, in original order.
+func countingPartial(src, out, count []uint32, key orderKey, k int) {
+	clear(count)
+	for _, b := range src {
+		count[key.of(b)]++
+	}
+	kk := uint32(k)
+	var start uint32
+	t := 0
+	for ; ; t++ {
+		c := count[t]
+		count[t] = start
+		if start+c >= kk {
+			break
+		}
+		start += c
+	}
+	// Bucket t fills up at position k; keys above it start full.
+	for j := t + 1; j < len(count); j++ {
+		count[j] = kk
+	}
+	rest := kk
+	for _, b := range src {
+		kb := key.of(b)
+		p := count[kb]
+		d, in := rest, uint32(0)
+		if p < kk {
+			d, in = p, 1
+		}
+		out[d] = b
+		count[kb] = p + in
+		rest += 1 - in
+	}
+}
+
+// radixPartial is partialSort by a stable LSD radix sort of the words
+// over digitBits-wide key digits, ping-ponging between a and b and
+// skipping digits every element shares. count holds one histogram per
+// digit. The k-th smallest key t then bounds the remainder: a pass
+// over src drops keys below t and the first elements with key t that
+// the sorted prefix took, and appends the rest after position k.
+func radixPartial(src, a, b, count []uint32, key orderKey, digitBits, k int) []uint32 {
+	n := len(src)
+	digits, nb := key.width()/digitBits, 1<<digitBits
+	dmask := uint32(nb - 1)
+	clear(count)
+	if digits == 2 {
+		lo, hi := count[:nb], count[nb:]
+		for _, w := range src {
+			kw := key.of(w)
+			lo[kw&dmask]++
+			hi[kw>>digitBits&dmask]++
+		}
+	} else {
+		h0, h1, h2, h3 := count[:256], count[256:512], count[512:768], count[768:]
+		for _, w := range src {
+			kw := key.of(w)
+			h0[kw&0xFF]++
+			h1[kw>>8&0xFF]++
+			h2[kw>>16&0xFF]++
+			h3[kw>>24]++
+		}
+	}
+	bufs := [2][]uint32{a, b}
+	sorted, next := src, 0
+	first := key.of(src[0])
+	for d := 0; d < digits; d++ {
+		shift := d * digitBits
+		c := count[d*nb : (d+1)*nb]
+		if c[first>>shift&dmask] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for i, x := range c {
+			c[i] = sum
+			sum += x
+		}
+		to := bufs[next]
+		for _, w := range sorted {
+			dg := key.of(w) >> shift & dmask
+			to[c[dg]] = w
+			c[dg]++
+		}
+		sorted, next = to, next^1
+	}
+	if &sorted[0] == &src[0] {
+		// Every key is equal: the input order is already sorted.
+		sorted = a
+		copy(sorted, src)
+	}
+	if k == n {
+		return sorted
+	}
+	t := key.of(sorted[k-1])
+	take := 0
+	for j := k - 1; j >= 0 && key.of(sorted[j]) == t; j-- {
+		take++
+	}
+	// Drop keys below bound: t+1 while ties at t are left to skip,
+	// then t. Each word is written at rest, which advances only past
+	// kept words; the loop ends once the n-k kept words are placed.
+	// The selects keep the loop free of data-dependent branches.
+	bound := uint64(t) + 1
+	rest := k
+	for _, w := range src {
+		if rest == n {
+			break
+		}
+		kw := uint64(key.of(w))
+		var drop, tie int
+		if kw < bound {
+			drop = 1
+		}
+		if kw == uint64(t) {
+			tie = 1
+		}
+		sorted[rest] = w
+		rest += 1 - drop
+		take -= tie
+		if take <= 0 {
+			bound = uint64(t)
+		}
+	}
+	return sorted
+}
+
+// sortWhole partially sorts the whole matrix along its row-major
+// (colMajor false) or column-major walk.
+func sortWhole(m *Matrix, frac float64, colMajor bool) {
+	k := countOf(frac, len(m.Bits))
 	if k == 0 {
 		return
 	}
-
-	key := orderKeyFn(m.DType)
-	sc.grow(n)
-	keys := sc.keys
-	for i, b := range m.Bits {
-		keys[i] = uint64(key(b))<<32 | uint64(uint32(i))
+	w := sortPool.Get().(*sortWork)
+	res := w.partialSort(m.Bits, orderKeyOf(m.DType), k)
+	if colMajor {
+		// res lists the elements in column-major walk order, i.e. the
+		// matrix's transpose in row-major storage.
+		transposeBits(m.Bits, res, m.Cols, m.Rows)
+	} else {
+		copy(m.Bits, res)
 	}
-	sortKeyIdx(keys)
-
-	isLowest := sc.isLowest
-	out := sc.out
-	// Place the k smallest (in ascending order, ties by original
-	// position) at dst[:k].
-	for p := 0; p < k; p++ {
-		i := int(uint32(keys[p]))
-		isLowest[i] = true
-		out[dst[p]] = m.Bits[i]
-	}
-	// Remaining values keep original relative order in the remaining
-	// destination slots.
-	p := k
-	for i := 0; i < n; i++ {
-		if isLowest[i] {
-			continue
-		}
-		out[dst[p]] = m.Bits[i]
-		p++
-	}
-	copy(m.Bits, out)
-}
-
-// rowMajorOrder returns row-major position indices.
-func rowMajorOrder(rows, cols int) []int {
-	out := make([]int, rows*cols)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// colMajorOrder returns indices that walk the matrix column-major.
-func colMajorOrder(rows, cols int) []int {
-	out := make([]int, 0, rows*cols)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			out = append(out, i*cols+j)
-		}
-	}
-	return out
+	sortPool.Put(w)
 }
 
 // SortIntoRows partially sorts the matrix row-wise (§IV-C, Fig. 5a/5b):
 // the lowest frac of values are sorted into the first frac of row-major
 // indices.
-func SortIntoRows(m *Matrix, frac float64) {
-	partialSortInto(m, frac, rowMajorOrder(m.Rows, m.Cols))
-}
+func SortIntoRows(m *Matrix, frac float64) { sortWhole(m, frac, false) }
 
 // SortIntoCols partially sorts the matrix column-wise (§IV-C, Fig. 5c):
 // the lowest frac of values are sorted into the first frac of
 // column-major indices.
-func SortIntoCols(m *Matrix, frac float64) {
-	partialSortInto(m, frac, colMajorOrder(m.Rows, m.Cols))
-}
+func SortIntoCols(m *Matrix, frac float64) { sortWhole(m, frac, true) }
 
 // SortWithinRows partially sorts each row independently (§IV-C,
 // Fig. 5d): within every row, the lowest frac of that row's values are
 // sorted into the row's first indices.
 func SortWithinRows(m *Matrix, frac float64) {
-	dst := rowMajorOrder(1, m.Cols)
-	var sc sortScratch
+	k := countOf(frac, m.Cols)
+	if k == 0 {
+		return
+	}
+	key := orderKeyOf(m.DType)
+	w := sortPool.Get().(*sortWork)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		sub := &Matrix{DType: m.DType, Rows: 1, Cols: m.Cols, Bits: row}
-		partialSortIntoScratch(sub, frac, dst, &sc)
+		copy(row, w.partialSort(row, key, k))
 	}
+	sortPool.Put(w)
 }
 
 // SortFully sorts every element ascending in row-major order, the
