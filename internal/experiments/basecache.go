@@ -31,6 +31,12 @@ import (
 //     variants patch the base's stats incrementally (or reuse them
 //     outright when there is no transform) instead of rescanning the
 //     operand per job.
+//   - RNG-free prefixes. The steps right after generation that draw no
+//     random numbers (Pattern.Prep: sorts, zero-LSB/MSB) run once per
+//     (encoding class, side, seed, base, prefix) on a clone of the
+//     base. The result is a second entry with its own memoized stats,
+//     which serves every point and datatype of the class whose
+//     pipeline starts with that prefix; Fill stays the reference.
 
 // encClass maps a datatype to its encoding class: datatypes that store
 // identical bit patterns for identical value streams share one cache
@@ -43,12 +49,26 @@ func encClass(dt matrix.DType) matrix.DType {
 	return dt
 }
 
-// baseKey identifies one cached base matrix within a Run.
+// stageName names one cached matrix of a (class, side, seed): a
+// generated base (prep empty) or a base carried through an RNG-free
+// prefix.
+type stageName struct {
+	base string // Pattern.BaseName
+	prep string // Pattern.PrepName
+}
+
+// stageOf returns the name of the cached matrix a pattern's remaining
+// transform starts from.
+func stageOf(pat patterns.Pattern) stageName {
+	return stageName{base: pat.BaseName, prep: pat.PrepName}
+}
+
+// baseKey identifies one cached base or prefix matrix within a Run.
 type baseKey struct {
 	class matrix.DType // encClass of the requesting datatype
 	side  string       // "A" or "B"
 	seed  int
-	name  string // pattern BaseName
+	stageName
 }
 
 type baseEntry struct {
@@ -203,14 +223,18 @@ func (c *baseCache) group(key streamKey, uses int, gen func(g *groupEntry)) *gro
 	return g
 }
 
-// baseUses counts, for one datatype, how many points of the experiment
-// share each base pattern name — the refcount get() needs.
-func baseUses(exp Experiment, dt matrix.DType) map[string]int {
-	uses := make(map[string]int)
+// addUses adds one datatype's requests per (side, seed) to its
+// encoding class's refcounts, the counts get() needs: one per point
+// for the matrix its transform starts from, plus one base request per
+// prefix the class builds.
+func addUses(uses map[stageName]int, exp Experiment, dt matrix.DType) {
 	for _, pt := range exp.Points {
-		uses[pt.Pattern(dt).BaseName]++
+		st := stageOf(pt.Pattern(dt))
+		if st.prep != "" && uses[st] == 0 {
+			uses[stageName{base: st.base}]++
+		}
+		uses[st]++
 	}
-	return uses
 }
 
 // materialize produces one operand matrix for a job together with its
@@ -222,11 +246,12 @@ func baseUses(exp Experiment, dt matrix.DType) map[string]int {
 // activity's full rescan.
 //
 // The matrix is the cached base (generated from a side-and-base-
-// specific stream, shared read-only) when the pattern has no transform
-// stage; otherwise a clone carried through the transform chain, whose
-// statistics are patched incrementally from the base's when the chain
+// specific stream, shared read-only) or the cached prefix built from
+// it when the pattern has no transform stage; otherwise a clone of
+// that matrix carried through the transform chain, whose statistics
+// are patched incrementally from the cached ones when the chain
 // enumerates its touched positions.
-func materialize(cache *baseCache, uses map[string]int, streamUses map[string]int,
+func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string]int,
 	streamClasses map[string][]matrix.DType,
 	pat patterns.Pattern, dt matrix.DType, side string, seed int, streamSeed uint64,
 	size int, colOrient bool) (*matrix.Matrix, *activity.OperandStats) {
@@ -235,66 +260,81 @@ func materialize(cache *baseCache, uses map[string]int, streamUses map[string]in
 		pat.Apply(m, rng.Derive(streamSeed, side))
 		return m, nil
 	}
-	e := cache.get(baseKey{class: encClass(dt), side: side, seed: seed, name: pat.BaseName},
-		uses[pat.BaseName], func(e *baseEntry) *matrix.Matrix {
-			src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
-			if pat.DrawStream != nil && pat.EncodeStream != nil {
-				// Affine encodes (the Gaussian patterns) generate every
-				// encoding class of this (side, seed, base) in one fused
-				// row-chunked pass: the draw row stays cache-hot while
-				// each class encodes it and extracts its row-stream
-				// stats — no raw-stream buffer, one memory pass total.
-				if classes := streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
-					g := cache.group(streamKey{side: side, seed: seed, name: pat.BaseName},
-						streamUses[pat.BaseName], func(g *groupEntry) {
-							targets := make([]activity.GaussianTarget, len(classes))
-							for i, cl := range classes {
-								mean, std := pat.EncodeAffine(cl)
-								targets[i] = activity.GaussianTarget{
-									M: matrix.New(cl, size, size), Mean: mean, Std: std,
-								}
+	baseAt := baseKey{class: encClass(dt), side: side, seed: seed, stageName: stageName{base: pat.BaseName}}
+	genBase := func(e *baseEntry) *matrix.Matrix {
+		src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
+		if pat.DrawStream != nil && pat.EncodeStream != nil {
+			// Affine encodes (the Gaussian patterns) generate every
+			// encoding class of this (side, seed, base) in one fused
+			// row-chunked pass: the draw row stays cache-hot while
+			// each class encodes it and extracts its row-stream
+			// stats — no raw-stream buffer, one memory pass total.
+			if classes := streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
+				g := cache.group(streamKey{side: side, seed: seed, name: pat.BaseName},
+					streamUses[pat.BaseName], func(g *groupEntry) {
+						targets := make([]activity.GaussianTarget, len(classes))
+						for i, cl := range classes {
+							mean, std := pat.EncodeAffine(cl)
+							targets[i] = activity.GaussianTarget{
+								M: matrix.New(cl, size, size), Mean: mean, Std: std,
 							}
-							activity.GenerateGaussianFused(src, targets)
-							g.ms = make(map[matrix.DType]*matrix.Matrix, len(targets))
-							g.sts = make(map[matrix.DType]*activity.OperandStats, len(targets))
-							for i, cl := range classes {
-								g.ms[cl] = targets[i].M
-								g.sts[cl] = targets[i].Stats
-							}
-						})
-					cl := encClass(dt)
-					e.rowOnce.Do(func() { e.rowStats = g.sts[cl] })
-					return g.ms[cl]
-				}
-				m := matrix.New(dt, size, size)
-				raw := cache.stream(streamKey{side: side, seed: seed, name: pat.BaseName},
-					streamUses[pat.BaseName], func() []float64 {
-						return pat.DrawStream(src, size*size)
+						}
+						activity.GenerateGaussianFused(src, targets)
+						g.ms = make(map[matrix.DType]*matrix.Matrix, len(targets))
+						g.sts = make(map[matrix.DType]*activity.OperandStats, len(targets))
+						for i, cl := range classes {
+							g.ms[cl] = targets[i].M
+							g.sts[cl] = targets[i].Stats
+						}
 					})
-				// When the base's row-stream stats will plausibly be
-				// consumed (no transform, or an incrementally tracked
-				// one), fuse their extraction into the encode pass —
-				// same bits, same stats, one memory pass.
-				fuse := pat.Transform == nil || pat.DeltaTransform != nil
-				switch {
-				case fuse && pat.EncodeAffine != nil:
-					mean, std := pat.EncodeAffine(m.DType)
-					e.rowOnce.Do(func() {
-						e.rowStats = activity.EncodeScanGaussian(m, raw, mean, std)
-					})
-				case fuse && pat.EncodeVerbatim:
-					e.rowOnce.Do(func() {
-						e.rowStats = activity.EncodeScanValues(m, raw)
-					})
-				default:
-					pat.EncodeStream(m, raw)
-				}
-				return m
+				cl := encClass(dt)
+				e.rowOnce.Do(func() { e.rowStats = g.sts[cl] })
+				return g.ms[cl]
 			}
 			m := matrix.New(dt, size, size)
-			pat.BaseFill(m, src)
+			raw := cache.stream(streamKey{side: side, seed: seed, name: pat.BaseName},
+				streamUses[pat.BaseName], func() []float64 {
+					return pat.DrawStream(src, size*size)
+				})
+			// When the base's row-stream stats will plausibly be
+			// consumed (no prefix, and no transform or an
+			// incrementally tracked one), fuse their extraction
+			// into the encode pass — same bits, same stats, one
+			// memory pass.
+			fuse := pat.Prep == nil && (pat.Transform == nil || pat.DeltaTransform != nil)
+			switch {
+			case fuse && pat.EncodeAffine != nil:
+				mean, std := pat.EncodeAffine(m.DType)
+				e.rowOnce.Do(func() {
+					e.rowStats = activity.EncodeScanGaussian(m, raw, mean, std)
+				})
+			case fuse && pat.EncodeVerbatim:
+				e.rowOnce.Do(func() {
+					e.rowStats = activity.EncodeScanValues(m, raw)
+				})
+			default:
+				pat.EncodeStream(m, raw)
+			}
+			return m
+		}
+		m := matrix.New(dt, size, size)
+		pat.BaseFill(m, src)
+		return m
+	}
+	var e *baseEntry
+	if pat.Prep == nil {
+		e = cache.get(baseAt, uses[baseAt.stageName], genBase)
+	} else {
+		// The prefix is built once, from a clone of the base; each
+		// prefix counts as one use of the base (addUses).
+		prepAt := baseAt
+		prepAt.stageName = stageOf(pat)
+		e = cache.get(prepAt, uses[prepAt.stageName], func(*baseEntry) *matrix.Matrix {
+			m := cache.get(baseAt, uses[baseAt.stageName], genBase).m.Clone()
+			pat.Prep(m)
 			return m
 		})
+	}
 	base := e.m
 	if base.DType != dt {
 		// Same encoding class, different datatype tag (FP16 vs FP16-T):
@@ -302,8 +342,8 @@ func materialize(cache *baseCache, uses map[string]int, streamUses map[string]in
 		base = &matrix.Matrix{DType: dt, Rows: base.Rows, Cols: base.Cols, Bits: base.Bits}
 	}
 	if pat.Transform == nil {
-		// No transform stage: the shared base is used as-is (read-only
-		// downstream), and its memoized stats apply directly.
+		// No transform stage: the shared matrix is used as-is
+		// (read-only downstream), and its memoized stats apply directly.
 		return base, e.stats(colOrient)
 	}
 	m := base.Clone()

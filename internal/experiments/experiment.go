@@ -181,7 +181,7 @@ func iterationsFor(dt matrix.DType) int {
 // no transpose pass, and the operand's column-stream statistics are
 // the base's row-stream statistics.
 func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
-	cache *baseCache, uses map[string]int, streamUses map[string]int,
+	cache *baseCache, uses map[stageName]int, streamUses map[string]int,
 	streamClasses map[string][]matrix.DType) (runOutcome, error) {
 	pat := pt.Pattern(dt)
 	base := rng.Derive(uint64(seed)+1, exp.ID)
@@ -257,19 +257,18 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 
 	// Per-Run base-matrix cache, so transform variants across points
 	// (and datatypes of the same encoding class) share one generation
-	// per (seed, side). Refcounts aggregate over the dtypes of a class.
+	// and one run of each RNG-free prefix per (seed, side). Refcounts
+	// aggregate over the dtypes of a class.
 	cache := newBaseCache()
-	usesByClass := map[matrix.DType]map[string]int{}
+	usesByClass := map[matrix.DType]map[stageName]int{}
 	for _, dt := range cfg.DTypes {
 		cl := encClass(dt)
 		if usesByClass[cl] == nil {
-			usesByClass[cl] = map[string]int{}
+			usesByClass[cl] = map[stageName]int{}
 		}
-		for name, n := range baseUses(exp, dt) {
-			usesByClass[cl][name] += n
-		}
+		addUses(usesByClass[cl], exp, dt)
 	}
-	uses := make([]map[string]int, len(cfg.DTypes))
+	uses := make([]map[stageName]int, len(cfg.DTypes))
 	for di, dt := range cfg.DTypes {
 		uses[di] = usesByClass[encClass(dt)]
 	}
@@ -281,9 +280,11 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	streamUses := map[string]int{}
 	streamClasses := map[string][]matrix.DType{}
 	for cl, classUses := range usesByClass {
-		for name := range classUses {
-			streamUses[name]++
-			streamClasses[name] = append(streamClasses[name], cl)
+		for st := range classUses {
+			if st.prep == "" {
+				streamUses[st.base]++
+				streamClasses[st.base] = append(streamClasses[st.base], cl)
+			}
 		}
 	}
 	for _, classes := range streamClasses {

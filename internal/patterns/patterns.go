@@ -16,26 +16,33 @@ import (
 	"repro/internal/rng"
 )
 
-// Pattern is a named input-data construction: a base generation stage
-// followed by zero or more transform stages. The split is exposed so
-// that runners can generate a base matrix once and derive transform
-// variants from clones of it (the experiments engine caches base
-// matrices per seed this way), while Fill/Apply still run the whole
-// pipeline in one pass for single-use callers.
+// Pattern is a named input-data construction: a base generation stage,
+// then the RNG-free steps that directly follow it (the prefix), then
+// the remaining transform stages. The split is exposed so that runners
+// can generate a base matrix once, carry it through the prefix once,
+// and derive transform variants from clones of the result (the
+// experiments engine caches both per seed this way), while Fill/Apply
+// still run the whole pipeline in one pass for single-use callers.
 type Pattern struct {
 	// Name identifies the pattern in result tables, e.g.
 	// "gaussian(mean=0,std=210)|sort(rows,50%)".
 	Name string
 	// Fill populates m using the given random stream, running the base
-	// stage and every transform.
+	// stage, the prefix and every transform.
 	Fill func(m *matrix.Matrix, src *rng.Source)
 	// BaseName names the generation stage (the pipeline prefix before
 	// the first transform); it equals Name for pure generators.
 	BaseName string
 	// BaseFill runs only the generation stage.
 	BaseFill func(m *matrix.Matrix, src *rng.Source)
-	// Transform runs the post-generation transform chain, or is nil
-	// when the pattern is just a generator.
+	// PrepName names the prefix: the steps right after generation that
+	// draw no random numbers (sorts, zero-LSB/MSB), joined by '|'. It
+	// is empty when generation is followed by a random step or nothing.
+	PrepName string
+	// Prep runs the prefix, or is nil when PrepName is empty.
+	Prep func(m *matrix.Matrix)
+	// Transform runs the transform chain after the prefix, or is nil
+	// when nothing follows the generation stage and the prefix.
 	Transform func(m *matrix.Matrix, src *rng.Source)
 
 	// DeltaTransform, when non-nil, is an alternative to Transform
@@ -45,8 +52,8 @@ type Pattern struct {
 	// incrementally. ok is false when some step could not enumerate
 	// its touches — the matrix is still fully transformed, but the
 	// caller must fall back to a full rescan. Chains containing an
-	// untrackable step (sorts, whole-matrix bit edits) have a nil
-	// DeltaTransform.
+	// untrackable step (random LSB/MSB edits, or a sort or bit zeroing
+	// after a random step) have a nil DeltaTransform.
 	DeltaTransform func(m *matrix.Matrix, src *rng.Source) (touched []int32, ok bool)
 
 	// DrawStream and EncodeStream, when non-nil, split the generation
@@ -78,7 +85,8 @@ func generator(name string, fill func(m *matrix.Matrix, src *rng.Source)) Patter
 
 // Then composes a transform after this pattern's fill. The step is
 // untrackable: the result has no DeltaTransform. Trackable steps go
-// through thenTracked instead.
+// through thenTracked, and steps that draw no random numbers through
+// thenPure.
 func (p Pattern) Then(name string, f func(m *matrix.Matrix, src *rng.Source)) Pattern {
 	prevFill := p.Fill
 	xform := f
@@ -88,20 +96,40 @@ func (p Pattern) Then(name string, f func(m *matrix.Matrix, src *rng.Source)) Pa
 			f(m, src)
 		}
 	}
-	return Pattern{
-		Name: p.Name + "|" + name,
-		Fill: func(m *matrix.Matrix, src *rng.Source) {
-			prevFill(m, src)
-			f(m, src)
-		},
-		BaseName:       p.BaseName,
-		BaseFill:       p.BaseFill,
-		Transform:      xform,
-		DrawStream:     p.DrawStream,
-		EncodeStream:   p.EncodeStream,
-		EncodeAffine:   p.EncodeAffine,
-		EncodeVerbatim: p.EncodeVerbatim,
+	np := p
+	np.Name = p.Name + "|" + name
+	np.Fill = func(m *matrix.Matrix, src *rng.Source) {
+		prevFill(m, src)
+		f(m, src)
 	}
+	np.Transform = xform
+	np.DeltaTransform = nil
+	return np
+}
+
+// thenPure composes a step that draws no random numbers. Directly
+// after generation or another such step it joins the prefix (Prep);
+// after a random step it is an ordinary untrackable transform.
+func (p Pattern) thenPure(name string, f func(m *matrix.Matrix)) Pattern {
+	if p.Transform != nil {
+		return p.Then(name, func(m *matrix.Matrix, _ *rng.Source) { f(m) })
+	}
+	prevFill, prevPrep := p.Fill, p.Prep
+	np := p
+	np.Name = p.Name + "|" + name
+	np.Fill = func(m *matrix.Matrix, src *rng.Source) {
+		prevFill(m, src)
+		f(m)
+	}
+	np.PrepName, np.Prep = name, f
+	if prevPrep != nil {
+		np.PrepName = p.PrepName + "|" + name
+		np.Prep = func(m *matrix.Matrix) {
+			prevPrep(m)
+			f(m)
+		}
+	}
+	return np
 }
 
 // thenTracked composes a transform whose touched positions are
@@ -247,8 +275,8 @@ const (
 
 // Sorted applies a partial sort (Fig. 5) after the base pattern.
 func (p Pattern) Sorted(kind SortKind, frac float64) Pattern {
-	return p.Then(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
-		func(m *matrix.Matrix, _ *rng.Source) {
+	return p.thenPure(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
+		func(m *matrix.Matrix) {
 			switch kind {
 			case SortRows:
 				matrix.SortIntoRows(m, frac)
@@ -273,12 +301,12 @@ func (p Pattern) Sparse(frac float64) Pattern {
 
 // ZeroLSBs clears the n least significant bits (Fig. 6c).
 func (p Pattern) ZeroLSBs(n int) Pattern {
-	return p.Then(fmt.Sprintf("zerolsb(%d)", n),
-		func(m *matrix.Matrix, _ *rng.Source) { matrix.ZeroLSBs(m, n) })
+	return p.thenPure(fmt.Sprintf("zerolsb(%d)", n),
+		func(m *matrix.Matrix) { matrix.ZeroLSBs(m, n) })
 }
 
 // ZeroMSBs clears the n most significant bits (Fig. 6d).
 func (p Pattern) ZeroMSBs(n int) Pattern {
-	return p.Then(fmt.Sprintf("zeromsb(%d)", n),
-		func(m *matrix.Matrix, _ *rng.Source) { matrix.ZeroMSBs(m, n) })
+	return p.thenPure(fmt.Sprintf("zeromsb(%d)", n),
+		func(m *matrix.Matrix) { matrix.ZeroMSBs(m, n) })
 }
