@@ -19,11 +19,12 @@ package patterns
 //	sparsify(PCT%)
 //	zerolsb(N) / zeromsb(N)
 //
-// Numbers accept a '%' suffix meaning value/100. Arguments may be
-// positional or key=value.
+// Numbers accept a '%' suffix meaning value/100 and must be finite.
+// Arguments may be positional or key=value.
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -137,7 +138,9 @@ func parseStage(s string) (stage, error) {
 	return st, nil
 }
 
-// number parses a numeric literal, honoring a '%' suffix.
+// number parses a finite numeric literal, honoring a '%' suffix. NaN
+// and ±Inf are rejected: every range check downstream is false for
+// NaN, so one would reach the transforms unchecked.
 func number(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	pct := strings.HasSuffix(s, "%")
@@ -145,7 +148,7 @@ func number(s string) (float64, error) {
 		s = strings.TrimSuffix(s, "%")
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
 	if pct {
@@ -208,8 +211,8 @@ func buildBase(st stage) (Pattern, error) {
 		if err != nil {
 			return Pattern{}, err
 		}
-		if nf < 1 {
-			return Pattern{}, fmt.Errorf("set size must be at least 1")
+		if nf < 1 || nf > math.MaxInt32 {
+			return Pattern{}, fmt.Errorf("set size out of [1,%d]", math.MaxInt32)
 		}
 		mean, err := st.numArg("mean", 1, 0, false)
 		if err != nil {

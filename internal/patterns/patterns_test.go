@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -218,6 +219,38 @@ func TestDSLErrors(t *testing.T) {
 	for _, input := range cases {
 		if _, err := Parse(input); err == nil {
 			t.Errorf("Parse(%q): expected error", input)
+		}
+	}
+}
+
+// TestDSLRejectsNonFinite covers numbers every range check passes
+// when they are NaN: before they were rejected, a NaN sort or sparsity
+// fraction turned into a negative element count and panicked the
+// serving process, and NaN distribution parameters filled the operands
+// with NaNs.
+func TestDSLRejectsNonFinite(t *testing.T) {
+	cases := []string{
+		"gaussian(default) | sort(rows, NaN)",
+		"gaussian(default) | sort(rows, nan%)",
+		"gaussian(default) | sort(cols, frac=Inf)",
+		"gaussian(default) | sparsify(NaN)",
+		"gaussian(default) | flip(NaN)",
+		"gaussian(default) | zerolsb(NaN)",
+		"set(n=NaN)",
+		"set(n=1e19)",
+		"set(n=4294967296)",
+		"gaussian(mean=0, std=NaN)",
+		"gaussian(mean=-Inf)",
+		"uniform(lo=NaN, hi=1)",
+		"uniform(0, +Inf)",
+		"constant(inf)",
+		"constant(random, mean=NaN)",
+	}
+	for _, input := range cases {
+		_, err := Parse(input)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Parse(%q) = %v, want *ParseError", input, err)
 		}
 	}
 }

@@ -418,6 +418,42 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestPredictRejectsNaNPattern: a NaN sort fraction once reached the
+// worker pool as a negative element count and panicked the process.
+// It must be an in-band 400, and the server must keep answering.
+func TestPredictRejectsNaNPattern(t *testing.T) {
+	s := NewCore(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	post := func(pattern string) (int, []byte) {
+		t.Helper()
+		buf, _ := json.Marshal(PredictRequest{Pattern: pattern, Size: 32})
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Bytes()
+	}
+	if code, body := post("gaussian(default)|sort(rows,NaN)"); code != http.StatusBadRequest {
+		t.Fatalf("NaN sort fraction: status %d, want 400: %s", code, body)
+	}
+	code, body := post("gaussian(default)|sort(rows,50%)")
+	if code != http.StatusOK {
+		t.Fatalf("valid request after the rejected one: status %d: %s", code, body)
+	}
+	var pr PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil || pr.SimulatedW <= 0 {
+		t.Errorf("valid request after the rejected one: %s (%v)", body, err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := NewCore(testConfig())
 	defer s.Close()
