@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/matrix"
 	"repro/internal/stats"
 )
@@ -564,5 +566,36 @@ func TestFormatFig8AndCSV(t *testing.T) {
 	}
 	if len(lines) != wantPoints+1 {
 		t.Errorf("fig8 CSV has %d lines, want %d", len(lines), wantPoints+1)
+	}
+}
+
+// TestRunWorkerCountInvariant runs panels whose points share cached
+// prefixes (a sort before sparsity, within-row sorts) on one worker
+// and on several, which race to build the same base and prefix
+// entries; the cells must not depend on the schedule.
+func TestRunWorkerCountInvariant(t *testing.T) {
+	for _, exp := range []Experiment{Fig6bSparsityAfterSort(), Fig5dSortWithinRows()} {
+		t.Run(exp.ID, func(t *testing.T) {
+			cfg := Config{
+				Device:        device.A100PCIe(),
+				Size:          48,
+				DTypes:        []matrix.DType{matrix.FP32, matrix.FP16, matrix.FP16T, matrix.INT8},
+				Seeds:         2,
+				SampleOutputs: 16,
+				VMInstance:    1,
+			}
+			var series [2]map[matrix.DType][]Cell
+			for i, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				fr, err := Run(exp, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				series[i] = fr.Series
+			}
+			if !reflect.DeepEqual(series[0], series[1]) {
+				t.Error("cells differ between 1 and 4 workers")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -166,6 +167,29 @@ func TestPartialSortMatchesReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestPartialSortConcurrent sorts from several goroutines at once, so
+// the race detector sees the pooled scratch handed between callers.
+func TestPartialSortConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				m, kind, frac := decodeSortCase([]byte{byte(g + i), byte(i), byte(7 * i), byte(5*g + i), byte(i)})
+				want := m.Clone()
+				refSort(want, kind, frac)
+				kind.apply(m, frac)
+				if !m.Equal(want) {
+					t.Errorf("goroutine %d case %d: %v %dx%d %v frac=%v differs from the reference",
+						g, i, m.DType, m.Rows, m.Cols, kind, frac)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestOrderKeyMatchesReference checks the inline key against the

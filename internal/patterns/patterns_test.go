@@ -223,10 +223,10 @@ func TestDSLErrors(t *testing.T) {
 	}
 }
 
-// TestDSLRejectsNonFinite covers numbers every range check passes
-// when they are NaN: before they were rejected, a NaN sort or sparsity
-// fraction turned into a negative element count and panicked the
-// serving process, and NaN distribution parameters filled the operands
+// TestDSLRejectsNonFinite covers non-finite numbers, for which every
+// range check is false when they are NaN. Accepted, a NaN sort or
+// sparsity fraction becomes a negative element count that panics the
+// serving process, and NaN distribution parameters fill the operands
 // with NaNs.
 func TestDSLRejectsNonFinite(t *testing.T) {
 	cases := []string{

@@ -418,8 +418,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestPredictRejectsNaNPattern: a NaN sort fraction once reached the
-// worker pool as a negative element count and panicked the process.
+// TestPredictRejectsNaNPattern: a NaN sort fraction that reached the
+// worker pool would be a negative element count and panic the process.
 // It must be an in-band 400, and the server must keep answering.
 func TestPredictRejectsNaNPattern(t *testing.T) {
 	s := NewCore(testConfig())
