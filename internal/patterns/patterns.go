@@ -30,8 +30,8 @@ type Pattern struct {
 	// Fill populates m using the given random stream, running the base
 	// stage, the prefix and every transform.
 	Fill func(m *matrix.Matrix, src *rng.Source)
-	// BaseName names the generation stage (the pipeline prefix before
-	// the first transform); it equals Name for pure generators.
+	// BaseName names the generation stage (the pipeline's first
+	// stage); it equals Name for pure generators.
 	BaseName string
 	// BaseFill runs only the generation stage.
 	BaseFill func(m *matrix.Matrix, src *rng.Source)
