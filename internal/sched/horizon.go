@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"slices"
+	"sort"
+	"sync"
 )
 
 // DefaultHorizonWindowS is the projection window PredictiveHorizon uses
@@ -52,6 +54,7 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 	}
 	headroomW := fleet.PowerCapW - fleet.IdleSumW
 	committed := newHorizon(fleet.Timelines, p.WindowS, fleet.TickS)
+	defer committed.release()
 
 	bestSafe, bestUnsafe := -1, -1
 	bestSafeEta := math.Inf(1)
@@ -92,26 +95,46 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 // deterministic: breakpoints are summed in time order, and at equal
 // times committed ones (in fleet order) precede the extra segment's.
 func ProjectedPeakW(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
-	return newHorizon(timelines, windowS, padS).peakWith(extraStartS, extraDurS, extraDynW)
+	h := newHorizon(timelines, windowS, padS)
+	defer h.release()
+	return h.peakWith(extraStartS, extraDurS, extraDynW)
 }
 
 // breakpoint is a step of dw watts in projected demand at time t.
 type breakpoint struct{ t, dw float64 }
 
+// sweepState is a demand sweep's running sum and peak so far.
+type sweepState struct{ cur, peak float64 }
+
 // horizon is the committed part of a projection: every committed
-// segment's breakpoints inside the window, stable-sorted by time.
-// Place builds it once per admission and sweeps it once per candidate.
+// segment's breakpoints inside the window in stable time order, and the
+// committed-only sweep's state before each of them. Place builds it
+// once per admission and sweeps it once per candidate, from the
+// candidate's start on.
 type horizon struct {
-	bps           []breakpoint
+	bps []breakpoint
+	// pre[i] is the committed-only sweep's state before bps[i] when i
+	// starts a group of equal times; pre[len(bps)] is its final state.
+	pre []sweepState
+	// tmp is the merge buffer; it trades places with bps while sorting.
+	tmp []breakpoint
+	// sorted is false when a NaN time leaves bps without a time order,
+	// and so without the prefix a candidate's sweep resumes from.
+	sorted        bool
 	windowS, padS float64
 }
 
-func newHorizon(timelines [][]PowerSegment, windowS, padS float64) horizon {
-	n := 0
-	for _, tl := range timelines {
-		n += 2 * len(tl)
-	}
-	h := horizon{bps: make([]breakpoint, 0, n), windowS: windowS, padS: padS}
+// horizonPool holds horizons between admissions, so steady-state
+// placement allocates nothing; the pool releases them at garbage
+// collection.
+var horizonPool = sync.Pool{New: func() any { return new(horizon) }}
+
+// newHorizon builds the committed horizon in a pooled value; the caller
+// releases it.
+func newHorizon(timelines [][]PowerSegment, windowS, padS float64) *horizon {
+	h := horizonPool.Get().(*horizon)
+	h.windowS, h.padS = windowS, padS
+	h.bps = h.bps[:0]
 	for _, tl := range timelines {
 		t := 0.0
 		for _, seg := range tl {
@@ -119,21 +142,17 @@ func newHorizon(timelines [][]PowerSegment, windowS, padS float64) horizon {
 			t += seg.DurationS + padS
 		}
 	}
-	slices.SortStableFunc(h.bps, func(a, b breakpoint) int {
-		switch {
-		case a.t < b.t:
-			return -1
-		case b.t < a.t:
-			return 1
-		}
-		return 0
-	})
+	h.sortByTime()
+	h.sweepPrefix()
 	return h
 }
 
+// release returns h to horizonPool; h must not be used afterwards.
+func (h *horizon) release() { horizonPool.Put(h) }
+
 // add appends a segment's start and, if it ends inside the window, its
 // end. Empty, zero-watt and out-of-window segments add nothing.
-func (h horizon) add(bps []breakpoint, start, dur, dw float64) []breakpoint {
+func (h *horizon) add(bps []breakpoint, start, dur, dw float64) []breakpoint {
 	if dur <= 0 || dw == 0 || start >= h.windowS {
 		return bps
 	}
@@ -144,16 +163,100 @@ func (h horizon) add(bps []breakpoint, start, dur, dw float64) []breakpoint {
 	return bps
 }
 
+// sortByTime stable-sorts bps by time with a natural merge sort. Every
+// segment of a timeline starts where the previous one ended, so each
+// instance's breakpoints form a run in time order (a negative duration
+// splits it in two) and bps is a few runs laid end to end. Each pass
+// merges adjacent runs pairwise, the left run winning ties, which for
+// finite times is exactly the stable sort's order, in ⌈log₂ runs⌉
+// linear passes. A merge of two runs never steps back in time, even
+// past a NaN, so every pass leaves fewer runs and the loop ends.
+func (h *horizon) sortByTime() {
+	src := h.bps
+	dst := slices.Grow(h.tmp[:0], len(src))[:len(src)]
+	for {
+		merges := 0
+		for lo := 0; lo < len(src); merges++ {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+		if merges <= 1 {
+			break
+		}
+	}
+	h.bps, h.tmp = src, dst
+}
+
+// runEnd returns the end of the run starting at lo: the first index
+// after lo whose time is less than its predecessor's, or len(bps).
+func runEnd(bps []breakpoint, lo int) int {
+	if lo == len(bps) {
+		return lo
+	}
+	for lo++; lo < len(bps) && !(bps[lo].t < bps[lo-1].t); lo++ {
+	}
+	return lo
+}
+
+// mergeRuns merges the runs a and b into dst, which holds exactly
+// both; at equal times a's breakpoints come first.
+func mergeRuns(dst, a, b []breakpoint) {
+	i, j, k := 0, 0, 0
+	for ; i < len(a) && j < len(b); k++ {
+		if b[j].t < a[i].t {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// sweepPrefix sweeps the committed breakpoints alone, as peakWith does,
+// and records the state before each one.
+func (h *horizon) sweepPrefix() {
+	h.pre = h.pre[:0]
+	h.sorted = true
+	var s sweepState
+	for i, b := range h.bps {
+		h.pre = append(h.pre, s)
+		s.cur += b.dw
+		if i+1 == len(h.bps) || h.bps[i+1].t != b.t {
+			if s.cur > s.peak {
+				s.peak = s.cur
+			}
+		}
+		if math.IsNaN(b.t) {
+			h.sorted = false
+		}
+	}
+	h.pre = append(h.pre, s)
+}
+
 // peakWith sweeps the committed breakpoints with one extra padded
 // segment merged in and returns the peak demand. At equal times the
 // committed breakpoints are summed first, as one stable sort with the
 // extra segment appended last would order them, so the peak is the
-// same float to the bit.
-func (h horizon) peakWith(startS, durS, dynW float64) float64 {
-	extra := h.add(make([]breakpoint, 0, 2), startS, durS+h.padS, dynW)
+// same float to the bit. No extra breakpoint lies before the segment's
+// start, so the sweep resumes at the first committed breakpoint not
+// before it, from the committed-only state there: the groups before it
+// sum exactly as they would with the segment.
+func (h *horizon) peakWith(startS, durS, dynW float64) float64 {
+	var buf [2]breakpoint
+	extra := h.add(buf[:0], startS, durS+h.padS, dynW)
 	bps := h.bps
-	var cur, peak float64
-	i, j := 0, 0
+	i := 0
+	if h.sorted {
+		i = sort.Search(len(bps), func(k int) bool { return !(bps[k].t < startS) })
+	}
+	cur, peak := h.pre[i].cur, h.pre[i].peak
+	j := 0
 	for i < len(bps) || j < len(extra) {
 		// Each group's first breakpoint is consumed unconditionally, so
 		// a NaN time, which equals nothing, still advances the sweep.

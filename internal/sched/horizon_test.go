@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 func TestProjectedPeakWDemandCurve(t *testing.T) {
@@ -193,6 +197,7 @@ func FuzzProjectedPeakW(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProjection(data)
 		committed := newHorizon(p.timelines, p.windowS, p.padS)
+		defer committed.release()
 		finite := p.finite()
 		for _, c := range p.cands {
 			got := ProjectedPeakW(p.timelines, c[0], c[1], c[2], p.windowS, p.padS)
@@ -207,6 +212,113 @@ func FuzzProjectedPeakW(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestHorizonMatchesReference(t *testing.T) {
+	// The finite, non-negative table entries, so breakpoints tie across
+	// instances and every timeline is one run unless a case breaks it.
+	durS, dynW, padS := fuzzDurS[:14], fuzzDynW[:15], fuzzPadS[:7]
+	src := rng.New(17)
+	for _, tc := range []struct {
+		instances int
+		// negative puts a segment that steps back in time into the
+		// middle of instance 0, splitting its run in two.
+		negative bool
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {5, false}, {9, false}, {16, false}, {4, true}} {
+		for _, windowS := range []float64{30, 1e4} {
+			padS := padS[src.Intn(len(padS))]
+			timelines := make([][]PowerSegment, tc.instances)
+			for k := range timelines {
+				for n := src.Intn(201); n > 0; n-- {
+					timelines[k] = append(timelines[k], PowerSegment{DurationS: durS[src.Intn(len(durS))], DynPowerW: dynW[src.Intn(len(dynW))]})
+				}
+			}
+			if tc.negative {
+				back := PowerSegment{DurationS: -3, DynPowerW: 50}
+				tl := append(timelines[0], PowerSegment{DurationS: 2, DynPowerW: 100}, PowerSegment{DurationS: 1, DynPowerW: 75.5})
+				timelines[0] = append(tl[:len(tl)/2], append([]PowerSegment{back}, tl[len(tl)/2:]...)...)
+			}
+
+			// Candidates start before the first breakpoint, at and past
+			// the window, on every backlog and on committed breakpoints.
+			starts := []float64{-1, windowS, windowS + 0.5}
+			var times []float64
+			for _, tl := range timelines {
+				at := 0.0
+				for _, seg := range tl {
+					times = append(times, at)
+					at += seg.DurationS + padS
+				}
+				starts = append(starts, at)
+			}
+			for n := 0; n < 24 && len(times) > 0; n++ {
+				starts = append(starts, times[src.Intn(len(times))])
+			}
+
+			committed := newHorizon(timelines, windowS, padS)
+			for _, startS := range starts {
+				d, w := durS[src.Intn(len(durS))], dynW[src.Intn(len(dynW))]
+				want := projectedPeakWRef(timelines, startS, d, w, windowS, padS)
+				got := ProjectedPeakW(timelines, startS, d, w, windowS, padS)
+				perAdmission := committed.peakWith(startS, d, w)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(perAdmission) != math.Float64bits(want) {
+					t.Errorf("%d instances (negative %v), window %v, pad %v: candidate (%v, %v, %v): ProjectedPeakW %v, per-admission %v, reference %v",
+						tc.instances, tc.negative, windowS, padS, startS, d, w, got, perAdmission, want)
+				}
+			}
+			committed.release()
+		}
+	}
+}
+
+func TestPredictiveHorizonConcurrent(t *testing.T) {
+	// Each goroutine replays its own fleet's admissions while the others
+	// draw horizons of other sizes from the shared pool; every pick must
+	// match the serial one.
+	type admission struct {
+		job   Job
+		cands []Candidate
+		fleet Fleet
+	}
+	src := rng.New(5)
+	p := PredictiveHorizon{WindowS: DefaultHorizonWindowS}
+	fleets := make([][]admission, 4)
+	want := make([][]int, len(fleets))
+	for g := range fleets {
+		for a := 0; a < 40; a++ {
+			fleet := Fleet{PowerCapW: 400 + 50*float64(g), IdleSumW: 220, Instances: 4, TickS: 1e-3, Timelines: make([][]PowerSegment, 4)}
+			var cands []Candidate
+			for k := range fleet.Timelines {
+				backlogS := 0.0
+				for n := src.Intn(10 * (g + 1)); n > 0; n-- {
+					seg := PowerSegment{DurationS: 0.1 + 5*src.Float64(), DynPowerW: 20 + 230*src.Float64()}
+					fleet.Timelines[k] = append(fleet.Timelines[k], seg)
+					backlogS += seg.DurationS
+				}
+				cands = append(cands, cand(k, backlogS, 1e-3, 75+200*src.Float64()))
+			}
+			job := Job{ID: fmt.Sprintf("job%d", a), Iterations: 1000 + src.Intn(9000)}
+			fleets[g] = append(fleets[g], admission{job, cands, fleet})
+			want[g] = append(want[g], p.Place(job, cands, fleet))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := range fleets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for a, ad := range fleets[g] {
+					if got := p.Place(ad.job, ad.cands, ad.fleet); got != want[g][a] {
+						t.Errorf("fleet %d admission %d: placed on %d concurrently, %d serially", g, a, got, want[g][a])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // horizonFleet is a two-instance capped fleet where instance 0 has one
