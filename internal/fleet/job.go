@@ -61,13 +61,17 @@ type Trace struct {
 // canonicalized, bounds checked, prediction key filled. Both trace
 // loading and live HTTP admission funnel through it, so a job the
 // controller accepted is exactly a job a replayed trace accepts.
-func normalizeJob(j *Job) error {
+func normalizeJob(j *Job) error { return normalizeJobWith(j, patterns.Canonicalize) }
+
+// normalizeJobWith is normalizeJob with the pattern canonicalizer
+// supplied, so a trace can canonicalize each distinct spelling once.
+func normalizeJobWith(j *Job, canonicalize func(string) (string, error)) error {
 	dt, ok := matrix.ParseDType(j.DType)
 	if !ok {
 		return fmt.Errorf("fleet: job %s: unknown dtype %q", j.ID, j.DType)
 	}
 	j.dt = dt
-	canon, err := patterns.Canonicalize(j.Pattern)
+	canon, err := canonicalize(j.Pattern)
 	if err != nil {
 		return fmt.Errorf("fleet: job %s: %w", j.ID, err)
 	}
@@ -87,14 +91,27 @@ func normalizeJob(j *Job) error {
 
 // normalize validates every job, canonicalizes patterns, fills default
 // IDs and sorts by (arrival, ID) so scheduling order is deterministic
-// regardless of the order jobs were listed in.
+// regardless of the order jobs were listed in. A trace repeats a few
+// pattern spellings many times and canonicalizing one is a full parse,
+// so each distinct spelling is parsed once.
 func (t *Trace) normalize() error {
+	canons := make(map[string]string)
+	canonicalize := func(pattern string) (string, error) {
+		if canon, ok := canons[pattern]; ok {
+			return canon, nil
+		}
+		canon, err := patterns.Canonicalize(pattern)
+		if err == nil {
+			canons[pattern] = canon
+		}
+		return canon, err
+	}
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
 		if j.ID == "" {
 			j.ID = fmt.Sprintf("job%d", i)
 		}
-		if err := normalizeJob(j); err != nil {
+		if err := normalizeJobWith(j, canonicalize); err != nil {
 			return err
 		}
 	}

@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/patterns"
 )
 
 func TestTraceWriteReadRoundTrip(t *testing.T) {
@@ -73,5 +77,46 @@ func TestTraceWritePinnedDeviceSurvives(t *testing.T) {
 	// replayed job spec (and with it every oracle key) is unchanged.
 	if replayed.Jobs[1].Pattern != "gaussian(default)" {
 		t.Errorf("pattern %q not canonical after round trip", replayed.Jobs[1].Pattern)
+	}
+}
+
+func TestTraceNormalizeCanonicalizesEachSpelling(t *testing.T) {
+	// Three spellings of one pattern and two of another, each repeated:
+	// every job must carry exactly its own spelling's canonical form.
+	spellings := []string{
+		"gaussian(default) | sort(rows, 50%)",
+		"gaussian( default )|sort(rows,50%)",
+		"constant(7)",
+		"gaussian(mean=0, std=210) | sort(rows, frac=0.5)",
+		"constant( 7 )",
+	}
+	tr := &Trace{}
+	for i := 0; i < 3*len(spellings); i++ {
+		tr.Jobs = append(tr.Jobs, Job{ID: fmt.Sprintf("j%02d", i), DType: "FP16", Pattern: spellings[i%len(spellings)], Size: 32, ArrivalS: float64(i), Iterations: 10})
+	}
+	if err := tr.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range tr.Jobs {
+		want, err := patterns.Canonicalize(spellings[i%len(spellings)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Pattern != want || j.key.pattern != want {
+			t.Errorf("job %s: pattern %q, key %q; want %q", j.ID, j.Pattern, j.key.pattern, want)
+		}
+	}
+}
+
+func TestTraceNormalizeReportsFirstInvalidPattern(t *testing.T) {
+	// The third job's pattern is invalid and recurs on a later job: the
+	// error names the third job.
+	tr := &Trace{}
+	for i, p := range []string{"constant(7)", "gaussian(default)", "nope(", "constant(7)", "gaussian(default)", "nope("} {
+		tr.Jobs = append(tr.Jobs, Job{ID: fmt.Sprintf("j%d", i), DType: "FP16", Pattern: p, Size: 32, Iterations: 10})
+	}
+	err := tr.normalize()
+	if err == nil || !strings.Contains(err.Error(), "job j2:") {
+		t.Errorf("normalize error = %v, want one naming job j2", err)
 	}
 }
