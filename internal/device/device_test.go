@@ -1,6 +1,7 @@
 package device
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/matrix"
@@ -23,12 +24,24 @@ func TestPresetCount(t *testing.T) {
 func TestByName(t *testing.T) {
 	for _, d := range All() {
 		got := ByName(d.Name)
-		if got == nil || got.Name != d.Name {
-			t.Errorf("ByName(%q) failed", d.Name)
+		if !reflect.DeepEqual(got, d) {
+			t.Errorf("ByName(%q) = %+v, want All()'s %+v", d.Name, got, d)
+		}
+		// Callers may mutate what they get, so each call builds afresh.
+		if got != nil && ByName(d.Name) == got {
+			t.Errorf("ByName(%q) returned the same pointer twice", d.Name)
 		}
 	}
 	if ByName("nonexistent") != nil {
 		t.Error("ByName of unknown device should be nil")
+	}
+}
+
+func TestByNameBuildsOnePreset(t *testing.T) {
+	all := testing.AllocsPerRun(100, func() { All() })
+	one := testing.AllocsPerRun(100, func() { ByName("A100-PCIe-40GB") })
+	if one >= all {
+		t.Errorf("ByName allocates %v times per call, All %v: ByName should build only its preset", one, all)
 	}
 }
 

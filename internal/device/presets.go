@@ -1,6 +1,10 @@
 package device
 
-import "repro/internal/matrix"
+import (
+	"slices"
+
+	"repro/internal/matrix"
+)
 
 // The preset devices mirror the paper's testbeds (§III, §IV-E):
 //
@@ -210,28 +214,41 @@ func RTX6000() *Device {
 	}
 }
 
+// presets holds the preset constructors in the paper's Fig. 7 order.
+var presets = []func() *Device{V100SXM2, A100PCIe, H100SXM, RTX6000}
+
+// presetNames lists the presets' names in that order, and presetIndex
+// maps each name to its constructor's position; both are built once.
+var presetNames, presetIndex = indexPresets()
+
+func indexPresets() ([]string, map[string]int) {
+	names := make([]string, len(presets))
+	index := make(map[string]int, len(presets))
+	for i, preset := range presets {
+		names[i] = preset().Name
+		index[names[i]] = i
+	}
+	return names, index
+}
+
 // All returns the four preset devices in the paper's Fig. 7 order.
 func All() []*Device {
-	return []*Device{V100SXM2(), A100PCIe(), H100SXM(), RTX6000()}
+	devs := make([]*Device, len(presets))
+	for i, preset := range presets {
+		devs[i] = preset()
+	}
+	return devs
 }
 
 // Names returns the preset device names in Fig. 7 order, for CLI help
 // strings and service discovery endpoints.
-func Names() []string {
-	devs := All()
-	names := make([]string, len(devs))
-	for i, d := range devs {
-		names[i] = d.Name
-	}
-	return names
-}
+func Names() []string { return slices.Clone(presetNames) }
 
-// ByName returns the preset with the given name, or nil.
+// ByName returns a fresh copy of the preset with the given name, or
+// nil. It builds only that preset.
 func ByName(name string) *Device {
-	for _, d := range All() {
-		if d.Name == name {
-			return d
-		}
+	if i, ok := presetIndex[name]; ok {
+		return presets[i]()
 	}
 	return nil
 }
