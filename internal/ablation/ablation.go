@@ -23,12 +23,23 @@ import (
 type Component string
 
 const (
-	Issue   Component = "issue"
+	// Issue is the data-independent per-MAC energy (EnergyCoeffs.IssuePJ).
+	Issue Component = "issue"
+	// Operand is the operand-delivery toggle energy
+	// (EnergyCoeffs.OperandPJPerToggle).
 	Operand Component = "operand"
-	Mult    Component = "mult"
+	// Mult is the multiplier-array partial-product energy
+	// (EnergyCoeffs.MultPJPerPP).
+	Mult Component = "mult"
+	// Product is the multiplier-output toggle energy
+	// (EnergyCoeffs.ProductPJPerToggle).
 	Product Component = "product"
-	Accum   Component = "accum"
-	Stream  Component = "stream"
+	// Accum is the accumulator toggle energy
+	// (EnergyCoeffs.AccumPJPerToggle).
+	Accum Component = "accum"
+	// Stream is the tile-streaming toggle energy
+	// (Device.StreamPJPerToggle).
+	Stream Component = "stream"
 )
 
 // Components lists the ablatable terms.
