@@ -81,14 +81,17 @@ func TestTraceWritePinnedDeviceSurvives(t *testing.T) {
 }
 
 func TestTraceNormalizeCanonicalizesEachSpelling(t *testing.T) {
-	// Three spellings of one pattern and two of another, each repeated:
-	// every job must carry exactly its own spelling's canonical form.
+	// Three spellings of one pattern and two of another, each repeated,
+	// among near-identical patterns: every job must carry exactly its
+	// own spelling's canonical form.
 	spellings := []string{
 		"gaussian(default) | sort(rows, 50%)",
 		"gaussian( default )|sort(rows,50%)",
 		"constant(7)",
+		"gaussian(default) | sort(rows, 25%)",
 		"gaussian(mean=0, std=210) | sort(rows, frac=0.5)",
 		"constant( 7 )",
+		"constant(8)",
 	}
 	tr := &Trace{}
 	for i := 0; i < 3*len(spellings); i++ {

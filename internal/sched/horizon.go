@@ -113,8 +113,8 @@ type sweepState struct{ cur, peak float64 }
 // candidate's start on.
 type horizon struct {
 	bps []breakpoint
-	// pre[i] is the committed-only sweep's state before bps[i] when i
-	// starts a group of equal times; pre[len(bps)] is its final state.
+	// pre[i] is the committed-only sweep's state before bps[i], and
+	// pre[len(bps)] its final state.
 	pre []sweepState
 	// tmp is the merge buffer; it trades places with bps while sorting.
 	tmp []breakpoint

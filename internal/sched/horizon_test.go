@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -217,16 +218,16 @@ func FuzzProjectedPeakW(f *testing.F) {
 func TestHorizonMatchesReference(t *testing.T) {
 	// The finite, non-negative table entries, so breakpoints tie across
 	// instances and every timeline is one run unless a case breaks it.
-	durS, dynW, padS := fuzzDurS[:14], fuzzDynW[:15], fuzzPadS[:7]
+	durS, dynW, pads := fuzzDurS[:14], fuzzDynW[:15], fuzzPadS[:7]
 	src := rng.New(17)
 	for _, tc := range []struct {
 		instances int
 		// negative puts a segment that steps back in time into the
-		// middle of instance 0, splitting its run in two.
+		// middle of instance 0's timeline, splitting its run in two.
 		negative bool
 	}{{1, false}, {2, false}, {3, false}, {4, false}, {5, false}, {9, false}, {16, false}, {4, true}} {
 		for _, windowS := range []float64{30, 1e4} {
-			padS := padS[src.Intn(len(padS))]
+			padS := pads[src.Intn(len(pads))]
 			timelines := make([][]PowerSegment, tc.instances)
 			for k := range timelines {
 				for n := src.Intn(201); n > 0; n-- {
@@ -234,14 +235,20 @@ func TestHorizonMatchesReference(t *testing.T) {
 				}
 			}
 			if tc.negative {
-				back := PowerSegment{DurationS: -3, DynPowerW: 50}
 				tl := append(timelines[0], PowerSegment{DurationS: 2, DynPowerW: 100}, PowerSegment{DurationS: 1, DynPowerW: 75.5})
-				timelines[0] = append(tl[:len(tl)/2], append([]PowerSegment{back}, tl[len(tl)/2:]...)...)
+				timelines[0] = slices.Insert(tl, len(tl)/2, PowerSegment{DurationS: -3, DynPowerW: 50})
 			}
 
-			// Candidates start before the first breakpoint, at and past
-			// the window, on every backlog and on committed breakpoints.
-			starts := []float64{-1, windowS, windowS + 0.5}
+			// Drawn candidates start before the first breakpoint, at and
+			// past the window, on every backlog and on committed
+			// breakpoints.
+			var cands [][3]float64
+			draw := func(startS float64) {
+				cands = append(cands, [3]float64{startS, durS[src.Intn(len(durS))], dynW[src.Intn(len(dynW))]})
+			}
+			draw(-1)
+			draw(windowS)
+			draw(windowS + 0.5)
 			var times []float64
 			for _, tl := range timelines {
 				at := 0.0
@@ -249,15 +256,26 @@ func TestHorizonMatchesReference(t *testing.T) {
 					times = append(times, at)
 					at += seg.DurationS + padS
 				}
-				starts = append(starts, at)
+				draw(at)
 			}
 			for n := 0; n < 24 && len(times) > 0; n++ {
-				starts = append(starts, times[src.Intn(len(times))])
+				draw(times[src.Intn(len(times))])
+			}
+			// A draw that lowers demand for the rest of the window, on
+			// every breakpoint inside a short one: where committed demand
+			// peaks, the peak is wrong unless the candidate joins the
+			// group at its start before the peak is taken.
+			if windowS < 100 {
+				for _, at := range times {
+					if at < windowS {
+						cands = append(cands, [3]float64{at, windowS, -20})
+					}
+				}
 			}
 
 			committed := newHorizon(timelines, windowS, padS)
-			for _, startS := range starts {
-				d, w := durS[src.Intn(len(durS))], dynW[src.Intn(len(dynW))]
+			for _, c := range cands {
+				startS, d, w := c[0], c[1], c[2]
 				want := projectedPeakWRef(timelines, startS, d, w, windowS, padS)
 				got := ProjectedPeakW(timelines, startS, d, w, windowS, padS)
 				perAdmission := committed.peakWith(startS, d, w)
