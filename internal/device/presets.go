@@ -1,10 +1,6 @@
 package device
 
-import (
-	"slices"
-
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // The preset devices mirror the paper's testbeds (§III, §IV-E):
 //
@@ -217,19 +213,15 @@ func RTX6000() *Device {
 // presets holds the preset constructors in the paper's Fig. 7 order.
 var presets = []func() *Device{V100SXM2, A100PCIe, H100SXM, RTX6000}
 
-// presetNames lists the presets' names in that order, and presetIndex
-// maps each name to its constructor's position; both are built once.
-var presetNames, presetIndex = indexPresets()
-
-func indexPresets() ([]string, map[string]int) {
-	names := make([]string, len(presets))
+// presetIndex maps each preset's name to its constructor's position in
+// presets.
+var presetIndex = func() map[string]int {
 	index := make(map[string]int, len(presets))
 	for i, preset := range presets {
-		names[i] = preset().Name
-		index[names[i]] = i
+		index[preset().Name] = i
 	}
-	return names, index
-}
+	return index
+}()
 
 // All returns the four preset devices in the paper's Fig. 7 order.
 func All() []*Device {
@@ -242,7 +234,14 @@ func All() []*Device {
 
 // Names returns the preset device names in Fig. 7 order, for CLI help
 // strings and service discovery endpoints.
-func Names() []string { return slices.Clone(presetNames) }
+func Names() []string {
+	devs := All()
+	names := make([]string, len(devs))
+	for i, d := range devs {
+		names[i] = d.Name
+	}
+	return names
+}
 
 // ByName returns a fresh copy of the preset with the given name, or
 // nil. It builds only that preset.
