@@ -54,7 +54,7 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 	}
 	headroomW := fleet.PowerCapW - fleet.IdleSumW
 	committed := newHorizon(fleet.Timelines, p.WindowS, fleet.TickS)
-	defer committed.release()
+	defer horizonPool.Put(committed)
 
 	bestSafe, bestUnsafe := -1, -1
 	bestSafeEta := math.Inf(1)
@@ -96,7 +96,7 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 // times committed ones (in fleet order) precede the extra segment's.
 func ProjectedPeakW(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
 	h := newHorizon(timelines, windowS, padS)
-	defer h.release()
+	defer horizonPool.Put(h)
 	return h.peakWith(extraStartS, extraDurS, extraDynW)
 }
 
@@ -129,8 +129,8 @@ type horizon struct {
 // collection.
 var horizonPool = sync.Pool{New: func() any { return new(horizon) }}
 
-// newHorizon builds the committed horizon in a pooled value; the caller
-// releases it.
+// newHorizon builds the committed horizon in a value from horizonPool;
+// the caller puts it back.
 func newHorizon(timelines [][]PowerSegment, windowS, padS float64) *horizon {
 	h := horizonPool.Get().(*horizon)
 	h.windowS, h.padS = windowS, padS
@@ -146,9 +146,6 @@ func newHorizon(timelines [][]PowerSegment, windowS, padS float64) *horizon {
 	h.sweepPrefix()
 	return h
 }
-
-// release returns h to horizonPool; h must not be used afterwards.
-func (h *horizon) release() { horizonPool.Put(h) }
 
 // add appends a segment's start and, if it ends inside the window, its
 // end. Empty, zero-watt and out-of-window segments add nothing.

@@ -198,7 +198,7 @@ func FuzzProjectedPeakW(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProjection(data)
 		committed := newHorizon(p.timelines, p.windowS, p.padS)
-		defer committed.release()
+		defer horizonPool.Put(committed)
 		finite := p.finite()
 		for _, c := range p.cands {
 			got := ProjectedPeakW(p.timelines, c[0], c[1], c[2], p.windowS, p.padS)
@@ -261,11 +261,12 @@ func TestHorizonMatchesReference(t *testing.T) {
 			for n := 0; n < 24 && len(times) > 0; n++ {
 				draw(times[src.Intn(len(times))])
 			}
-			// A draw that lowers demand for the rest of the window, on
-			// every breakpoint inside a short one: where committed demand
-			// peaks, the peak is wrong unless the candidate joins the
-			// group at its start before the peak is taken.
-			if windowS < 100 {
+			// A candidate that lowers demand for the rest of the window,
+			// on every breakpoint inside the short window (the long one
+			// holds thousands): where committed demand peaks, the peak is
+			// wrong unless the candidate joins the group at its start
+			// before the peak is taken.
+			if windowS == 30 {
 				for _, at := range times {
 					if at < windowS {
 						cands = append(cands, [3]float64{at, windowS, -20})
@@ -284,7 +285,7 @@ func TestHorizonMatchesReference(t *testing.T) {
 						tc.instances, tc.negative, windowS, padS, startS, d, w, got, perAdmission, want)
 				}
 			}
-			committed.release()
+			horizonPool.Put(committed)
 		}
 	}
 }
