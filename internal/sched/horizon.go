@@ -117,10 +117,7 @@ type horizon struct {
 	// pre[len(bps)] its final state.
 	pre []sweepState
 	// tmp is the merge buffer; it trades places with bps while sorting.
-	tmp []breakpoint
-	// sorted is false when a NaN time leaves bps without a time order,
-	// and so without the prefix a candidate's sweep resumes from.
-	sorted        bool
+	tmp           []breakpoint
 	windowS, padS float64
 }
 
@@ -219,7 +216,6 @@ func mergeRuns(dst, a, b []breakpoint) {
 // and records the state before each one.
 func (h *horizon) sweepPrefix() {
 	h.pre = h.pre[:0]
-	h.sorted = true
 	var s sweepState
 	for i, b := range h.bps {
 		h.pre = append(h.pre, s)
@@ -229,9 +225,6 @@ func (h *horizon) sweepPrefix() {
 				s.peak = s.cur
 			}
 		}
-		if math.IsNaN(b.t) {
-			h.sorted = false
-		}
 	}
 	h.pre = append(h.pre, s)
 }
@@ -239,19 +232,18 @@ func (h *horizon) sweepPrefix() {
 // peakWith sweeps the committed breakpoints with one extra padded
 // segment merged in and returns the peak demand. At equal times the
 // committed breakpoints are summed first, as one stable sort with the
-// extra segment appended last would order them, so the peak is the
-// same float to the bit. No extra breakpoint lies before the segment's
-// start, so the sweep resumes at the first committed breakpoint not
-// before it, from the committed-only state there: the groups before it
-// sum exactly as they would with the segment.
+// extra segment appended last would order them, so for finite times
+// the peak is the same float to the bit. No extra breakpoint lies
+// before the segment's start, so the sweep resumes at the first
+// committed breakpoint not before it, from the committed-only state
+// there: the groups before it sum exactly as they would with the
+// segment. A NaN time leaves the breakpoints without a time order and
+// the peak undefined; the only promise then is that the sweep returns.
 func (h *horizon) peakWith(startS, durS, dynW float64) float64 {
 	var buf [2]breakpoint
 	extra := h.add(buf[:0], startS, durS+h.padS, dynW)
 	bps := h.bps
-	i := 0
-	if h.sorted {
-		i = sort.Search(len(bps), func(k int) bool { return !(bps[k].t < startS) })
-	}
+	i := sort.Search(len(bps), func(k int) bool { return !(bps[k].t < startS) })
 	cur, peak := h.pre[i].cur, h.pre[i].peak
 	j := 0
 	for i < len(bps) || j < len(extra) {
