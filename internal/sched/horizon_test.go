@@ -216,8 +216,9 @@ func FuzzProjectedPeakW(f *testing.F) {
 }
 
 func TestHorizonMatchesReference(t *testing.T) {
-	// The finite, non-negative table entries, so breakpoints tie across
-	// instances and every timeline is one run unless a case breaks it.
+	// The finite table entries, so breakpoints tie across instances.
+	// Durations and pads are non-negative, so every timeline is one run
+	// unless a case breaks it; the watts keep the -20 W entry.
 	durS, dynW, pads := fuzzDurS[:14], fuzzDynW[:15], fuzzPadS[:7]
 	src := rng.New(17)
 	for _, tc := range []struct {
@@ -338,6 +339,32 @@ func TestPredictiveHorizonConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+func TestPredictiveHorizonPlaceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
+	// Four instances with deep committed queues. AllocsPerRun's warm-up
+	// call grows the pooled horizon to them; every admission after it
+	// must reuse the pooled buffers.
+	src := rng.New(11)
+	fleet := Fleet{PowerCapW: 400, IdleSumW: 220, Instances: 4, TickS: 1e-3, Timelines: make([][]PowerSegment, 4)}
+	var cands []Candidate
+	for k := range fleet.Timelines {
+		backlogS := 0.0
+		for n := 0; n < 50; n++ {
+			seg := PowerSegment{DurationS: 0.1 + src.Float64(), DynPowerW: 20 + 230*src.Float64()}
+			fleet.Timelines[k] = append(fleet.Timelines[k], seg)
+			backlogS += seg.DurationS
+		}
+		cands = append(cands, cand(k, backlogS, 1e-3, 75+200*src.Float64()))
+	}
+	job := Job{ID: "job", Iterations: 5000}
+	p := PredictiveHorizon{WindowS: DefaultHorizonWindowS}
+	if allocs := testing.AllocsPerRun(100, func() { p.Place(job, cands, fleet) }); allocs != 0 {
+		t.Errorf("Place allocated %v times per admission, want 0", allocs)
+	}
 }
 
 // horizonFleet is a two-instance capped fleet where instance 0 has one
