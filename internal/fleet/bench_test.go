@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/sched"
 )
 
@@ -86,4 +88,36 @@ func BenchmarkSchedule(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEngineTick times the engine's integration loop with almost
+// nothing else: four A100s under a 300 W cap each run one 4 M-iteration
+// FP16 gaussian(default) 256² job, about 65 k ticks of 1 ms, and the
+// oracle is warmed before the timer. It reports ns/tick, the fleet
+// tick rung of the benchmark ladder. CI's bench smoke records it in
+// the BENCH_<sha>.json artifact; cmd/benchdiff's default filter does
+// not gate it.
+func BenchmarkEngineTick(b *testing.B) {
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		jobs[i] = Job{DType: "FP16", Pattern: "gaussian(default)", Size: 256, Iterations: 4_000_000}
+	}
+	trace := &Trace{Jobs: jobs}
+	cfg := Config{
+		Devices:   []*device.Device{device.A100PCIe(), device.A100PCIe(), device.A100PCIe(), device.A100PCIe()},
+		Oracle:    NewModelOracle(),
+		PowerCapW: 300,
+	}
+	r, err := Run(context.Background(), cfg, trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ticks := math.Round(r.DurationS / 1e-3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), cfg, trace); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*ticks), "ns/tick")
 }
