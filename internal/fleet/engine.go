@@ -2,17 +2,22 @@ package fleet
 
 // This file is the event-driven simulation core. Engine owns the state
 // the old monolithic tick loop kept in locals: a sorted pending-arrival
-// queue, per-instance run state, and the telemetry accumulators. One
-// Tick advances simulated time by exactly one integration step and
-// surfaces what happened through job lifecycle events, so the same
-// engine drives both the offline replay (Run submits a whole trace up
-// front and ticks to drain) and the live controller (Controller submits
-// jobs as they arrive over HTTP and ticks only while there is work).
+// queue, per-instance run state, and the telemetry accumulators.
+// Advance integrates simulated time in fixed steps and surfaces what
+// happened through job lifecycle events, so the same engine drives
+// both the offline replay (Run submits a whole trace up front and
+// advances to drain) and the live controller (Controller submits jobs
+// as they arrive over HTTP and advances only while there is work).
 //
 // Determinism is the load-bearing property: the tick sequence, the
 // float operation order inside it, and every tie-break are exactly the
 // pre-refactor loop's, so equal submissions produce byte-identical
-// reports whether they arrive as a trace or one POST at a time.
+// reports whether they arrive as a trace or one POST at a time. Values
+// that change only with the busy set are computed once per change
+// (refresh) with the expressions the loop used to evaluate each tick;
+// the tick itself keeps every accumulation's expression as it was,
+// because Go may fuse a multiply-add into one FMA, and a rewritten
+// shape could change bits on builds that do.
 
 import (
 	"context"
@@ -69,14 +74,15 @@ type Event struct {
 	Err string
 }
 
-// State is the engine's drive condition after a Tick.
+// State is the engine's drive condition when Advance returns.
 type State int
 
 const (
-	// Running means the tick advanced simulated time; keep ticking.
+	// Running means simulated time advanced and work remains; keep
+	// advancing.
 	Running State = iota
 	// Drained means no job is running or pending: simulated time did
-	// not advance, and ticking is pointless until the next Submit.
+	// not advance, and advancing is pointless until the next Submit.
 	Drained
 	// Aborted means the simulation horizon passed with jobs unfinished;
 	// the engine is terminal and further Submits are rejected.
@@ -120,12 +126,15 @@ type Engine struct {
 	pending   []*Job
 	submitted int
 
-	// candBuf/opBuf/tlBuf are admission scratch, reused across jobs.
+	// candBuf/modelOps/tlBuf are admission scratch, reused across jobs.
 	candBuf  []sched.Candidate
-	opBuf    []OperatingPoint
+	modelOps []modelOp
 	tlBuf    [][]sched.PowerSegment
 	powerBuf []float64
 
+	// dueS is the earliest time a quiet tick must stop for an event
+	// phase: the first pending arrival or the horizon.
+	dueS       float64
 	nowS       float64
 	peakFleetW float64
 	fleetWSum  float64 // ∫ fleet power dt
@@ -142,7 +151,7 @@ type Engine struct {
 // NewEngine validates the config and builds an empty engine: no jobs,
 // simulated time zero. Callers must install operating points (the
 // offline path resolves a whole trace up front, the live path resolves
-// per submission) before the first Tick admits a job.
+// per submission) before the first Advance admits a job.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Devices) == 0 {
@@ -162,6 +171,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		insts:    insts,
 		models:   models,
 		ops:      make(map[OpKey]OperatingPoint),
+		modelOps: make([]modelOp, len(models)),
 		powerBuf: make([]float64, len(insts)),
 	}
 	for _, in := range insts {
@@ -174,7 +184,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // SetSink installs the job lifecycle event callback. Events are emitted
-// synchronously from Tick (and from Submit on rejection-free paths
+// synchronously from Advance (and from Submit on rejection-free paths
 // never — submission itself is not an event; admission is). The sink
 // must not call back into the engine.
 func (e *Engine) SetSink(fn func(Event)) { e.sink = fn }
@@ -189,7 +199,7 @@ func (e *Engine) emit(ev Event) {
 // integrate from. Live submissions stamp arrivals with it.
 func (e *Engine) NowS() float64 { return e.nowS }
 
-// State reports the drive condition after the most recent Tick.
+// State reports the drive condition after the most recent Advance.
 func (e *Engine) State() State { return e.state }
 
 // Models lists the distinct device models in the fleet, in first-seen
@@ -242,21 +252,94 @@ func (e *Engine) Submit(j *Job) error {
 	return nil
 }
 
-// Tick advances the simulation by one integration step: admit arrivals
-// due now, start queued work on idle instances, apply the aggregate
-// power-cap governor, and integrate every device's power, temperature
-// and job progress over cfg.TickS. It returns Drained — without
-// advancing time — when no work exists, and Aborted when the horizon
-// passes with jobs unfinished.
-func (e *Engine) Tick(ctx context.Context) (State, error) {
+// Advance integrates up to maxTicks steps of cfg.TickS and returns as
+// soon as the state leaves Running: Drained, without advancing time,
+// when no work exists, and Aborted when the horizon passes with jobs
+// unfinished. A tick runs the event phase first only when it is due
+// (on entry, when an arrival is due, after the busy set changed, and
+// at the horizon); a quiet tick just integrates every device's power,
+// temperature and job progress under the cached governor values. The
+// context is checked at every event phase, the first of which runs on
+// entry.
+func (e *Engine) Advance(ctx context.Context, maxTicks int) (State, error) {
 	if e.state == Aborted {
 		return Aborted, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return e.state, err
-	}
-	dt := e.cfg.TickS
+	dt, tau := e.cfg.TickS, e.cfg.ThermalTauS
+	// A Submit since the last call may have queued a job due now.
+	due := true
+	for n := 0; n < maxTicks; n++ {
+		if due || e.nowS >= e.dueS {
+			if err := ctx.Err(); err != nil {
+				return e.state, err
+			}
+			if st := e.eventPhase(); st != Running {
+				return st, nil
+			}
+			due = false
+		}
 
+		var fleetW float64
+		powers := e.powerBuf[:len(e.insts)]
+		for i, in := range e.insts {
+			s := &in.step
+			c, thermal := &s.full, false
+			// Thermal governor: once the die reaches the throttle point,
+			// the instance runs at its throttled clocks.
+			if s.throttles && in.tempC >= s.throttleC {
+				c, thermal = &s.hot, true
+			}
+
+			// First-order RC temperature integration toward the steady
+			// state implied by this tick's power.
+			in.tempC += dt * (c.steady - in.tempC) / tau
+			if in.tempC > in.maxTempC {
+				in.maxTempC = in.tempC
+			}
+			in.energyJ += c.power * dt
+			if c.power > in.peakPowerW {
+				in.peakPowerW = c.power
+			}
+			powers[i] = c.power
+			fleetW += c.power
+			if (in.capEventStart >= 0) != s.capped || (in.thermalEventStart >= 0) != thermal {
+				e.throttleEvents(in, s.capped, thermal)
+			}
+			if in.cur == nil {
+				continue
+			}
+
+			in.busyS += dt
+			if s.capped {
+				in.capS += dt
+			}
+			if thermal {
+				in.thermalS += dt
+			}
+			in.doneIts += c.progressed
+			in.backlogS -= dt * c.scale
+			if in.doneIts >= s.iterations {
+				e.complete(in, dt)
+				due = true
+			}
+		}
+		e.fleetWSum += fleetW * dt
+		if fleetW > e.peakFleetW {
+			e.peakFleetW = fleetW
+		}
+		if e.cfg.RecordSamples && e.nowS >= e.nextSample {
+			e.recordSample(fleetW, powers)
+			e.nextSample += e.cfg.SamplePeriodS
+		}
+		e.nowS += dt
+	}
+	return e.state, nil
+}
+
+// eventPhase admits arrivals due now, starts queued work on idle
+// instances, checks for drain and the horizon, and refreshes the step
+// values for the busy set that results.
+func (e *Engine) eventPhase() State {
 	// Admit arrivals: each is handed to the configured placement
 	// policy with a snapshot of every eligible instance's state
 	// (the default, sched.EarliestCompletion, picks the instance
@@ -283,67 +366,60 @@ func (e *Engine) Tick(ctx context.Context) (State, error) {
 	}
 	if !busyAny && len(e.pending) == 0 {
 		e.state = Drained
-		return Drained, nil
+		return Drained
 	}
 	if e.nowS >= e.cfg.HorizonS {
 		e.abortUnfinished()
 		e.state = Aborted
-		return Aborted, nil
+		return Aborted
 	}
 
 	// Aggregate power-cap governor: demand is each instance's
 	// steady operating-point power; when the sum exceeds the cap,
 	// dynamic power (and with it, clocks) scales down uniformly
 	// across busy instances. Idle floors cannot be capped away.
-	var idleSum, dynSum float64
+	var dynSum float64
 	for _, in := range e.insts {
-		idleSum += in.dev.IdleWatts
 		if in.cur != nil {
 			dynSum += in.cur.op.PowerW - in.dev.IdleWatts
 		}
 	}
 	capScale := 1.0
-	if e.cfg.PowerCapW > 0 && dynSum > 0 && idleSum+dynSum > e.cfg.PowerCapW {
-		capScale = (e.cfg.PowerCapW - idleSum) / dynSum
+	if e.cfg.PowerCapW > 0 && dynSum > 0 && e.idleSumW+dynSum > e.cfg.PowerCapW {
+		capScale = (e.cfg.PowerCapW - e.idleSumW) / dynSum
 		if capScale < 0 {
 			capScale = 0
 		}
 	}
+	for _, in := range e.insts {
+		in.refresh(capScale, e.cfg.TickS)
+	}
 
-	// Per-instance step: thermal governor, temperature
-	// integration, energy accounting and job progress.
-	var fleetW float64
-	for i, in := range e.insts {
-		p := e.stepInstance(in, capScale, dt)
-		e.powerBuf[i] = p
-		fleetW += p
+	e.dueS = e.cfg.HorizonS
+	if len(e.pending) > 0 && e.pending[0].ArrivalS < e.dueS {
+		e.dueS = e.pending[0].ArrivalS
 	}
-	e.fleetWSum += fleetW * dt
-	if fleetW > e.peakFleetW {
-		e.peakFleetW = fleetW
-	}
-	if e.cfg.RecordSamples && e.nowS >= e.nextSample {
-		e.recordSample(fleetW, e.powerBuf)
-		e.nextSample += e.cfg.SamplePeriodS
-	}
-	e.nowS += dt
 	e.state = Running
-	return Running, nil
+	return Running
 }
 
 // admit builds the scheduler-visible view of every eligible instance
 // and delegates the placement to the configured policy.
 func (e *Engine) admit(j *Job) {
+	for m, name := range e.models {
+		mo := &e.modelOps[m]
+		mo.ok = false
+		if j.Device == "" || name == j.Device {
+			mo.op, mo.ok = e.ops[OpKey{Device: name, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size}]
+		}
+	}
 	cands := e.candBuf[:0]
-	ops := e.opBuf[:0]
 	for i, in := range e.insts {
-		if j.Device != "" && in.dev.Name != j.Device {
+		mo := e.modelOps[in.model]
+		if !mo.ok {
 			continue
 		}
-		op, ok := e.ops[OpKey{Device: in.dev.Name, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size}]
-		if !ok {
-			continue
-		}
+		op := mo.op
 		cands = append(cands, sched.Candidate{
 			Index:           i,
 			Model:           in.dev.Name,
@@ -360,9 +436,8 @@ func (e *Engine) admit(j *Job) {
 			PredictedW:      op.PredictedW,
 			Throttled:       op.Throttled,
 		})
-		ops = append(ops, op)
 	}
-	e.candBuf, e.opBuf = cands, ops
+	e.candBuf = cands
 	if len(cands) == 0 {
 		// Unreachable after resolveOperatingPoints validated pinning,
 		// but a dropped job must not vanish silently.
@@ -392,7 +467,7 @@ func (e *Engine) admit(j *Job) {
 		return
 	}
 	in := e.insts[cands[pick].Index]
-	op := ops[pick]
+	op := e.modelOps[in.model].op
 	rj := &runJob{job: j, op: op, serviceS: float64(j.Iterations) * op.IterTimeS}
 	in.queue = append(in.queue, rj)
 	in.backlogS += rj.serviceS
@@ -432,91 +507,37 @@ func (e *Engine) fail(jr JobResult) {
 	e.emit(Event{Kind: EventFail, TimeS: e.nowS, JobID: jr.ID, Device: jr.Device, Err: jr.Error})
 }
 
-// stepInstance advances one device by dt under the global cap scale
-// and returns its power draw this tick.
-func (e *Engine) stepInstance(in *instance, capScale, dt float64) float64 {
-	idle := in.dev.IdleWatts
-	power := idle
-	scale := 1.0
-	capped, thermal := false, false
+// complete records the running job's completion at the end of the
+// tick that starts at nowS and frees its instance.
+func (e *Engine) complete(in *instance, dt float64) {
+	j := in.cur.job
+	e.completed = append(e.completed, JobResult{
+		ID:         j.ID,
+		Device:     in.id,
+		DType:      j.dt.String(),
+		Pattern:    j.Pattern,
+		Size:       j.Size,
+		ArrivalS:   j.ArrivalS,
+		FinishS:    e.nowS + dt,
+		LatencyS:   e.nowS + dt - j.ArrivalS,
+		ServiceS:   in.cur.serviceS,
+		PowerW:     in.cur.op.PowerW,
+		PredictedW: in.cur.op.PredictedW,
+	})
+	in.jobsRun++
+	in.cur = nil
+	in.doneIts = 0
+	e.emit(Event{Kind: EventComplete, TimeS: e.nowS + dt, JobID: j.ID, Device: in.id})
+}
 
-	if in.cur != nil {
-		dyn := in.cur.op.PowerW - idle
-		scale = capScale
-		capped = capScale < 1-1e-12
-		power = idle + scale*dyn
-
-		// Thermal governor: once the die reaches the throttle point,
-		// clocks scale so steady power holds the temperature there.
-		// The limit depends on the (possibly overridden) ambient, so a
-		// hot aisle throttles configurations the preset's 30 °C
-		// calibration point allowed.
-		if in.tempC >= in.dev.Thermal.ThrottleTempC-1e-9 {
-			pMax := (in.dev.Thermal.ThrottleTempC - in.ambient) / in.dev.Thermal.RThermalCPerW
-			if power > pMax {
-				thermal = true
-				ts := (pMax - idle) / (power - idle)
-				if ts < 0 {
-					ts = 0
-				}
-				scale *= ts
-				power = idle + scale*dyn
-			}
-		}
-	}
-
-	// First-order RC temperature integration toward the steady state
-	// implied by this tick's power.
-	steady := in.ambient + power*in.dev.Thermal.RThermalCPerW
-	in.tempC += dt * (steady - in.tempC) / e.cfg.ThermalTauS
-	if in.tempC > in.maxTempC {
-		in.maxTempC = in.tempC
-	}
-
-	in.energyJ += power * dt
-	if power > in.peakPowerW {
-		in.peakPowerW = power
-	}
-
-	if in.cur != nil {
-		in.busyS += dt
-		if capped {
-			in.capS += dt
-		}
-		if thermal {
-			in.thermalS += dt
-		}
-		e.updateEvent(in, &in.capEventStart, capped, "cap")
-		e.updateEvent(in, &in.thermalEventStart, thermal, "thermal")
-
-		progressed := dt * scale / in.cur.op.IterTimeS
-		in.doneIts += progressed
-		in.backlogS -= dt * scale
-		if in.doneIts >= float64(in.cur.job.Iterations) {
-			j := in.cur.job
-			e.completed = append(e.completed, JobResult{
-				ID:         j.ID,
-				Device:     in.id,
-				DType:      j.dt.String(),
-				Pattern:    j.Pattern,
-				Size:       j.Size,
-				ArrivalS:   j.ArrivalS,
-				FinishS:    e.nowS + dt,
-				LatencyS:   e.nowS + dt - j.ArrivalS,
-				ServiceS:   in.cur.serviceS,
-				PowerW:     in.cur.op.PowerW,
-				PredictedW: in.cur.op.PredictedW,
-			})
-			in.jobsRun++
-			in.cur = nil
-			in.doneIts = 0
-			e.emit(Event{Kind: EventComplete, TimeS: e.nowS + dt, JobID: j.ID, Device: in.id})
-		}
-	} else {
-		e.updateEvent(in, &in.capEventStart, false, "cap")
-		e.updateEvent(in, &in.thermalEventStart, false, "thermal")
-	}
-	return power
+// throttleEvents opens or closes the instance's cap and thermal
+// throttle events, in that order, where the conditions toggled. It
+// stays out of the tick loop's line.
+//
+//go:noinline
+func (e *Engine) throttleEvents(in *instance, capped, thermal bool) {
+	e.updateEvent(in, &in.capEventStart, capped, "cap")
+	e.updateEvent(in, &in.thermalEventStart, thermal, "thermal")
 }
 
 // updateEvent opens or closes one (instance, reason) throttle event as

@@ -31,6 +31,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/sched"
@@ -113,10 +115,18 @@ type runJob struct {
 	serviceS float64 // iterations × iter time at full clocks
 }
 
+// modelOp is an arriving job's operating point on one fleet model; ok
+// is false when the job cannot run there.
+type modelOp struct {
+	op OperatingPoint
+	ok bool
+}
+
 // instance is the mutable state of one fleet device.
 type instance struct {
 	dev     *device.Device
 	id      string
+	model   int // index into the engine's models
 	ambient float64
 
 	queue   []*runJob
@@ -137,12 +147,82 @@ type instance struct {
 	// open throttle-event start times, negative when no event is open.
 	capEventStart     float64
 	thermalEventStart float64
+
+	step step
+}
+
+// step holds an instance's per-tick integration inputs. They change
+// only when the busy set does, so the event phase refreshes them and
+// quiet ticks read them.
+type step struct {
+	full, hot clocks
+	// throttles reports that full-clock power exceeds the thermal
+	// budget, so the instance runs hot once the die reaches throttleC.
+	throttles bool
+	throttleC float64
+	capped    bool
+	// iterations is the running job's iteration count.
+	iterations float64
+}
+
+// clocks is one tick's power draw, the steady temperature it implies,
+// the clock scale and the iterations it completes.
+type clocks struct {
+	power, steady, scale, progressed float64
+}
+
+// refresh computes the step values under the global cap scale, with
+// the expressions the per-tick step used: full clocks, and for a busy
+// instance whose full-clock power exceeds its thermal budget, the
+// throttled clocks that hold the die at the throttle point.
+func (in *instance) refresh(capScale, dt float64) {
+	idle := in.dev.IdleWatts
+	s := &in.step
+	s.throttleC = in.dev.Thermal.ThrottleTempC - 1e-9
+	if in.cur == nil {
+		s.full = in.clocks(idle, 1, 0)
+		s.throttles, s.capped = false, false
+		return
+	}
+	dyn := in.cur.op.PowerW - idle
+	scale := capScale
+	s.capped = capScale < 1-1e-12
+	power := idle + scale*dyn
+	s.full = in.clocks(power, scale, dt*scale/in.cur.op.IterTimeS)
+	s.iterations = float64(in.cur.job.Iterations)
+
+	// Thermal governor: once the die reaches the throttle point,
+	// clocks scale so steady power holds the temperature there.
+	// The limit depends on the (possibly overridden) ambient, so a
+	// hot aisle throttles configurations the preset's 30 °C
+	// calibration point allowed.
+	pMax := (in.dev.Thermal.ThrottleTempC - in.ambient) / in.dev.Thermal.RThermalCPerW
+	s.throttles = power > pMax
+	if s.throttles {
+		ts := (pMax - idle) / (power - idle)
+		if ts < 0 {
+			ts = 0
+		}
+		scale *= ts
+		power = idle + scale*dyn
+		s.hot = in.clocks(power, scale, dt*scale/in.cur.op.IterTimeS)
+	}
+}
+
+// clocks pairs a power draw with the steady temperature it implies.
+func (in *instance) clocks(power, scale, progressed float64) clocks {
+	return clocks{
+		power:      power,
+		steady:     in.ambient + power*in.dev.Thermal.RThermalCPerW,
+		scale:      scale,
+		progressed: progressed,
+	}
 }
 
 // Run simulates the trace on the fleet and reduces it to a Report.
 // The trace is not mutated; equal inputs produce equal reports. It is
 // the offline path over the event-driven Engine: submit every job up
-// front, tick to drain.
+// front, advance to drain.
 func Run(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 	if trace == nil || len(trace.Jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty trace")
@@ -163,13 +243,14 @@ func Run(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 		return nil, err
 	}
 	eng.AddOperatingPoints(ops)
+	eng.completed = make([]JobResult, 0, len(t.Jobs))
 	for i := range t.Jobs {
 		if err := eng.Submit(&t.Jobs[i]); err != nil {
 			return nil, err
 		}
 	}
 	for {
-		state, err := eng.Tick(ctx)
+		state, err := eng.Advance(ctx, math.MaxInt)
 		if err != nil {
 			return nil, err
 		}
@@ -201,6 +282,7 @@ func buildInstances(cfg Config) ([]*instance, []string, error) {
 		insts = append(insts, &instance{
 			dev:               d,
 			id:                fmt.Sprintf("%s#%d", d.Name, counts[d.Name]),
+			model:             slices.Index(models, d.Name),
 			ambient:           ambient,
 			tempC:             ambient,
 			maxTempC:          ambient,
@@ -218,18 +300,16 @@ func buildInstances(cfg Config) ([]*instance, []string, error) {
 // the request stream — coalescing them is the oracle's job, and the
 // coalescing ratio is part of what a fleet run demonstrates.
 func resolveOperatingPoints(ctx context.Context, oracle Oracle, t *Trace, models []string) (map[OpKey]OperatingPoint, error) {
-	var keys []OpKey
+	keys := make([]OpKey, 0, len(t.Jobs)*len(models))
 	seenPinned := map[string]bool{}
 	for _, m := range models {
 		seenPinned[m] = true
 	}
 	for i := range t.Jobs {
-		j := &t.Jobs[i]
-		ks, err := jobKeys(j, models, seenPinned)
-		if err != nil {
+		var err error
+		if keys, err = appendJobKeys(keys, &t.Jobs[i], models, seenPinned); err != nil {
 			return nil, err
 		}
-		keys = append(keys, ks...)
 	}
 
 	ops := make(map[OpKey]OperatingPoint)
@@ -250,21 +330,21 @@ func resolveOperatingPoints(ctx context.Context, oracle Oracle, t *Trace, models
 	return ops, nil
 }
 
-// jobKeys expands one job into the operating-point keys the scheduler
-// could need: one key on its pinned model, or one per fleet model when
-// unpinned. The live controller uses the same expansion per
-// submission, so live and replayed runs ask the oracle identical
-// question streams and the Report's OracleStats match byte-for-byte.
-func jobKeys(j *Job, models []string, inFleet map[string]bool) ([]OpKey, error) {
+// appendJobKeys appends to keys the operating-point keys the scheduler
+// could need for one job: one key on its pinned model, or one per
+// fleet model when unpinned. The live controller uses the same
+// expansion per submission, so live and replayed runs ask the oracle
+// identical question streams and the Report's OracleStats match
+// byte-for-byte.
+func appendJobKeys(keys []OpKey, j *Job, models []string, inFleet map[string]bool) ([]OpKey, error) {
 	if j.Device != "" {
 		if !inFleet[j.Device] {
-			return nil, fmt.Errorf("fleet: job %s pinned to %q, which is not in the fleet", j.ID, j.Device)
+			return keys, fmt.Errorf("fleet: job %s pinned to %q, which is not in the fleet", j.ID, j.Device)
 		}
-		return []OpKey{{Device: j.Device, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size}}, nil
+		return append(keys, OpKey{Device: j.Device, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size}), nil
 	}
-	keys := make([]OpKey, len(models))
-	for i, m := range models {
-		keys[i] = OpKey{Device: m, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size}
+	for _, m := range models {
+		keys = append(keys, OpKey{Device: m, DType: j.dt.String(), Pattern: j.Pattern, Size: j.Size})
 	}
 	return keys, nil
 }

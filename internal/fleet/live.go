@@ -11,7 +11,7 @@ package fleet
 // through the offline Run (same config, same policy) reproduces
 // GET /fleet/report byte-for-byte, including the oracle's
 // lookup/distinct economics, because both paths expand the same per-job
-// key stream through jobKeys.
+// key stream through appendJobKeys.
 
 import (
 	"bytes"
@@ -203,7 +203,7 @@ func (c *Controller) loop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for !c.closed {
-		state, err := c.eng.Tick(context.Background())
+		state, err := c.eng.Advance(context.Background(), tickBatch)
 		if err != nil {
 			return
 		}
@@ -213,12 +213,6 @@ func (c *Controller) loop() {
 			c.cond.Wait()
 			continue
 		}
-		for i := 1; i < tickBatch && state == Running && !c.closed; i++ {
-			state, err = c.eng.Tick(context.Background())
-			if err != nil {
-				return
-			}
-		}
 		// Yield the lock so submissions interleave with long drains.
 		c.mu.Unlock()
 		c.mu.Lock()
@@ -227,7 +221,7 @@ func (c *Controller) loop() {
 
 // onEvent is the engine's sink: it moves job records through their
 // phases and keeps the metrics in step. Called with c.mu held (the
-// loop and Submit both tick/admit under the lock).
+// loop advances the engine under the lock).
 func (c *Controller) onEvent(ev Event) {
 	rec := c.jobs[ev.JobID]
 	if rec == nil {
@@ -282,7 +276,7 @@ func (c *Controller) Submit(ctx context.Context, req submitRequest) (submitRespo
 	if err := normalizeJob(&job); err != nil {
 		return submitResponse{}, &statusError{http.StatusBadRequest, err.Error()}
 	}
-	keys, err := jobKeys(&job, c.models, c.inFleet)
+	keys, err := appendJobKeys(nil, &job, c.models, c.inFleet)
 	if err != nil {
 		return submitResponse{}, &statusError{http.StatusBadRequest, err.Error()}
 	}

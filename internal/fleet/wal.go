@@ -133,7 +133,7 @@ func (c *Controller) Resume(ctx context.Context, jobs []Job) error {
 		if err := normalizeJob(j); err != nil {
 			return fmt.Errorf("fleet: resume: %w", err)
 		}
-		keys, err := jobKeys(j, c.models, c.inFleet)
+		keys, err := appendJobKeys(nil, j, c.models, c.inFleet)
 		if err != nil {
 			return fmt.Errorf("fleet: resume: job %s: %w", j.ID, err)
 		}
