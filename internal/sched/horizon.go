@@ -61,12 +61,10 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 	bestOver, bestUnsafeEta := math.Inf(1), math.Inf(1)
 	for i, c := range cands {
 		// The job starts when the candidate's committed work drains;
-		// each committed segment is padded by one tick because the
-		// simulator detects completions at tick boundaries.
-		start := 0.0
-		for _, seg := range fleet.Timelines[c.Index] {
-			start += seg.DurationS + fleet.TickS
-		}
+		// newHorizon summed it with each segment padded by one tick,
+		// because the simulator detects completions at tick
+		// boundaries.
+		start := committed.drainS[c.Index]
 		peak := committed.peakWith(start, float64(job.Iterations)*c.IterTimeS, c.PowerW-c.IdleW)
 		over := peak - headroomW
 		e := eta(job, c)
@@ -107,12 +105,18 @@ type breakpoint struct{ t, dw float64 }
 type sweepState struct{ cur, peak float64 }
 
 // horizon is the committed part of a projection: every committed
-// segment's breakpoints inside the window in stable time order, and the
-// committed-only sweep's state before each of them. Place builds it
-// once per admission and sweeps it once per candidate, from the
-// candidate's start on.
+// segment's breakpoints inside the window in stable time order, the
+// committed-only sweep's state before each of them, and when each
+// timeline drains. Place builds it once per admission and sweeps it
+// once per candidate, from the candidate's start on.
 type horizon struct {
 	bps []breakpoint
+	// runs holds the index where each time-ordered run of bps starts,
+	// recorded as the breakpoints are appended.
+	runs []int
+	// drainS[k] is timeline k's total padded duration, the time its
+	// committed work drains.
+	drainS []float64
 	// pre[i] is the committed-only sweep's state before bps[i], and
 	// pre[len(bps)] its final state.
 	pre []sweepState
@@ -131,13 +135,21 @@ var horizonPool = sync.Pool{New: func() any { return new(horizon) }}
 func newHorizon(timelines [][]PowerSegment, windowS, padS float64) *horizon {
 	h := horizonPool.Get().(*horizon)
 	h.windowS, h.padS = windowS, padS
-	h.bps = h.bps[:0]
+	h.bps, h.runs, h.drainS = h.bps[:0], append(h.runs[:0], 0), h.drainS[:0]
 	for _, tl := range timelines {
 		t := 0.0
 		for _, seg := range tl {
+			n := len(h.bps)
 			h.bps = h.add(h.bps, t, seg.DurationS+padS, seg.DynPowerW)
+			// A new run starts where a time falls below its
+			// predecessor's. A segment never ends before it starts, so
+			// only its start can begin one.
+			if n > 0 && n < len(h.bps) && h.bps[n].t < h.bps[n-1].t {
+				h.runs = append(h.runs, n)
+			}
 			t += seg.DurationS + padS
 		}
+		h.drainS = append(h.drainS, t)
 	}
 	h.sortByTime()
 	h.sweepPrefix()
@@ -157,42 +169,36 @@ func (h *horizon) add(bps []breakpoint, start, dur, dw float64) []breakpoint {
 	return bps
 }
 
-// sortByTime stable-sorts bps by time with a natural merge sort. Every
-// segment of a timeline starts where the previous one ended, so each
-// instance's breakpoints form a run in time order (a negative duration
-// splits it in two) and bps is a few runs laid end to end. Each pass
-// merges adjacent runs pairwise, the left run winning ties, which for
-// finite times is exactly the stable sort's order, in ⌈log₂ runs⌉
-// linear passes. A merge of two runs never steps back in time, even
-// past a NaN, so every pass leaves fewer runs and the loop ends.
+// sortByTime stable-sorts bps by time with a natural merge sort over
+// the recorded runs. Every segment of a timeline starts where the
+// previous one ended, so each instance's breakpoints form a run in time
+// order (a negative duration splits it in two) and bps is a few runs
+// laid end to end. Each pass merges adjacent runs pairwise, the left
+// run winning ties, which for finite times is exactly the stable sort's
+// order, in ⌈log₂ runs⌉ linear passes. Every pass halves the run count,
+// so the loop ends whatever the times are, NaN included.
 func (h *horizon) sortByTime() {
 	src := h.bps
 	dst := slices.Grow(h.tmp[:0], len(src))[:len(src)]
-	for {
-		merges := 0
-		for lo := 0; lo < len(src); merges++ {
-			mid := runEnd(src, lo)
-			hi := runEnd(src, mid)
+	runs := h.runs
+	for len(runs) > 1 {
+		merged := 0
+		for k := 0; k < len(runs); k += 2 {
+			lo, mid, hi := runs[k], len(src), len(src)
+			if k+1 < len(runs) {
+				mid = runs[k+1]
+			}
+			if k+2 < len(runs) {
+				hi = runs[k+2]
+			}
 			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
-			lo = hi
+			runs[merged] = lo
+			merged++
 		}
+		runs = runs[:merged]
 		src, dst = dst, src
-		if merges <= 1 {
-			break
-		}
 	}
 	h.bps, h.tmp = src, dst
-}
-
-// runEnd returns the end of the run starting at lo: the first index
-// after lo whose time is less than its predecessor's, or len(bps).
-func runEnd(bps []breakpoint, lo int) int {
-	if lo == len(bps) {
-		return lo
-	}
-	for lo++; lo < len(bps) && !(bps[lo].t < bps[lo-1].t); lo++ {
-	}
-	return lo
 }
 
 // mergeRuns merges the runs a and b into dst, which holds exactly
