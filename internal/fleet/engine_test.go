@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/device"
@@ -89,5 +91,34 @@ func TestPredictiveHorizonSamplesPinned(t *testing.T) {
 	}
 	if got, want := reportDigest(t, r), uint64(0x2fe3c7ff0e0cd663); got != want {
 		t.Errorf("report digest %#x, want %#x", got, want)
+	}
+}
+
+func TestAdvanceStopsWhenCanceled(t *testing.T) {
+	// Advance checks the context only at event phases; a completion
+	// forces one on the next tick, so canceling from the sink on the
+	// first completion must stop the run there.
+	cfg, trace := goldenConfig(t)
+	eng, _ := newRunEngine(t, cfg, trace)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng.SetSink(func(ev Event) {
+		if ev.Kind == EventComplete {
+			cancel()
+		}
+	})
+	state, err := eng.Advance(ctx, math.MaxInt)
+	if !errors.Is(err, context.Canceled) || state != Running {
+		t.Fatalf("Advance returned (%v, %v), want (running, context.Canceled)", state, err)
+	}
+	r := eng.Report()
+	if r.Completed == 0 || r.Completed >= r.Jobs {
+		t.Fatalf("%d of %d jobs completed before the cancel took effect", r.Completed, r.Jobs)
+	}
+
+	// A canceled context stops the next call before it advances time.
+	nowS := eng.NowS()
+	if _, err := eng.Advance(ctx, math.MaxInt); !errors.Is(err, context.Canceled) || eng.NowS() != nowS {
+		t.Fatalf("second Advance returned %v and moved the clock from %v to %v", err, nowS, eng.NowS())
 	}
 }
