@@ -531,10 +531,8 @@ func (e *Engine) complete(in *instance, dt float64) {
 }
 
 // throttleEvents opens or closes the instance's cap and thermal
-// throttle events, in that order, where the conditions toggled. It
-// stays out of the tick loop's line.
-//
-//go:noinline
+// throttle events, in that order; the tick loop calls it only when a
+// condition toggled.
 func (e *Engine) throttleEvents(in *instance, capped, thermal bool) {
 	e.updateEvent(in, &in.capEventStart, capped, "cap")
 	e.updateEvent(in, &in.thermalEventStart, thermal, "thermal")

@@ -180,7 +180,7 @@ func (in *instance) refresh(capScale, dt float64) {
 	s := &in.step
 	s.throttleC = in.dev.Thermal.ThrottleTempC - 1e-9
 	if in.cur == nil {
-		s.full = in.clocks(idle, 1, 0)
+		s.full = in.clocksAt(idle, 1, 0)
 		s.throttles, s.capped = false, false
 		return
 	}
@@ -188,7 +188,7 @@ func (in *instance) refresh(capScale, dt float64) {
 	scale := capScale
 	s.capped = capScale < 1-1e-12
 	power := idle + scale*dyn
-	s.full = in.clocks(power, scale, dt*scale/in.cur.op.IterTimeS)
+	s.full = in.clocksAt(power, scale, dt*scale/in.cur.op.IterTimeS)
 	s.iterations = float64(in.cur.job.Iterations)
 
 	// Thermal governor: once the die reaches the throttle point,
@@ -205,12 +205,12 @@ func (in *instance) refresh(capScale, dt float64) {
 		}
 		scale *= ts
 		power = idle + scale*dyn
-		s.hot = in.clocks(power, scale, dt*scale/in.cur.op.IterTimeS)
+		s.hot = in.clocksAt(power, scale, dt*scale/in.cur.op.IterTimeS)
 	}
 }
 
-// clocks pairs a power draw with the steady temperature it implies.
-func (in *instance) clocks(power, scale, progressed float64) clocks {
+// clocksAt pairs a power draw with the steady temperature it implies.
+func (in *instance) clocksAt(power, scale, progressed float64) clocks {
 	return clocks{
 		power:      power,
 		steady:     in.ambient + power*in.dev.Thermal.RThermalCPerW,
