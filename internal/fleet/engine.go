@@ -14,10 +14,11 @@ package fleet
 // pre-refactor loop's, so equal submissions produce byte-identical
 // reports whether they arrive as a trace or one POST at a time. Values
 // that change only with the busy set are computed once per change
-// (refresh) with the expressions the loop used to evaluate each tick;
-// the tick itself keeps every accumulation's expression as it was,
-// because Go may fuse a multiply-add into one FMA, and a rewritten
-// shape could change bits on builds that do.
+// (refresh), and each accumulation keeps the shape of its expression
+// (in.backlogS -= dt * scale, not a precomputed dt*scale): Go may fuse
+// a multiply-add into one FMA, so a reshaped expression could change
+// bits on builds that do. FuzzEngineMatchesReference holds Advance to
+// a per-tick reference engine kept in the tests.
 
 import (
 	"context"

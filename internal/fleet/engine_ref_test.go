@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/sched"
 )
 
-// refTick is the engine's tick as it was before Advance: every tick runs
-// the event phase, re-sums the cap governor and steps each instance.
+// refTick is the reference one-tick engine step: every tick runs the
+// event phase, re-sums the cap governor and steps each instance.
 // FuzzEngineMatchesReference holds Advance to it.
 func (e *Engine) refTick(ctx context.Context) (State, error) {
 	if e.state == Aborted {
@@ -203,7 +204,7 @@ func (o fakeOracle) Resolve(_ context.Context, keys []OpKey) ([]OperatingPoint, 
 
 // Fuzz tables. The ambients sit 1 to 53 °C below the fleet's lowest
 // throttle point, so a busy die can cross it within a run; the caps run
-// from below the idle floor of one A100 to above four H100s' demand.
+// from below one A100's idle floor to 1500 W.
 var (
 	fuzzAmbientBelowC = [8]float64{0, 1, 1.5, 3, 8, 11, 20, 53}
 	fuzzCapW          = [16]float64{0, 0, 40, 100, 150, 230, 260, 300, 333.3, 400, 500, 640, 800, 1000, 1200, 1500}
@@ -241,7 +242,7 @@ func decodeRun(data []byte) fuzzRun {
 			d = device.H100SXM()
 		}
 		cfg.Devices = append(cfg.Devices, d)
-		if !containsModel(models, d.Name) {
+		if !slices.ContainsFunc(models, func(m *device.Device) bool { return m.Name == d.Name }) {
 			models = append(models, d)
 		}
 	}
@@ -286,15 +287,6 @@ func decodeRun(data []byte) fuzzRun {
 		trace.Jobs = append(trace.Jobs, j)
 	}
 	return fuzzRun{cfg: cfg, trace: trace, maxTicks: func() int { return fuzzMaxTicks[next()%8] }}
-}
-
-func containsModel(models []*device.Device, name string) bool {
-	for _, d := range models {
-		if d.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // newRunEngine builds an engine with the trace submitted, as Run does,

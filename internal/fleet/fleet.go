@@ -171,10 +171,10 @@ type clocks struct {
 	power, steady, scale, progressed float64
 }
 
-// refresh computes the step values under the global cap scale, with
-// the expressions the per-tick step used: full clocks, and for a busy
-// instance whose full-clock power exceeds its thermal budget, the
-// throttled clocks that hold the die at the throttle point.
+// refresh computes the step values under the global cap scale: full
+// clocks, and for a busy instance whose full-clock power exceeds its
+// thermal budget, the throttled clocks that hold the die at the
+// throttle point.
 func (in *instance) refresh(capScale, dt float64) {
 	idle := in.dev.IdleWatts
 	s := &in.step
