@@ -51,7 +51,10 @@ func TestTrainingSamplesPinnedBits(t *testing.T) {
 // matrix per (seed, side) but differ in tile and power coefficients.
 // The placement and bit-sparsity panels cover the partial sorts (row-
 // and column-major walks, within-row sorts, a sort followed by
-// sparsity) and a zero-LSB step right after generation.
+// sparsity) and zero-LSB/MSB steps right after generation. The
+// value-set and bit-similarity panels cover set generation, both bit-
+// flip paths (geometric below p = ¼, dense above) and the LSB/MSB
+// randomizations.
 func TestRunPinnedBits(t *testing.T) {
 	cases := []struct {
 		exp    Experiment
@@ -64,6 +67,11 @@ func TestRunPinnedBits(t *testing.T) {
 		{Fig5dSortWithinRows(), kernels.TileConfig{}, 0xd42005d8d87e0d81},
 		{Fig6bSparsityAfterSort(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x92f4d459c214155b},
 		{Fig6cZeroLSB(), kernels.TileConfig{}, 0x560581eead7d0166},
+		{Fig3cValueSet(), kernels.TileConfig{}, 0x7082df442386dbf1},
+		{Fig4aBitFlips(), kernels.TileConfig{}, 0x934adf9ac18fcbf3},
+		{Fig4bLSB(), kernels.TileConfig{}, 0x22f920f1118f451b},
+		{Fig4cMSB(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x38885c03c0771dc1},
+		{Fig6dZeroMSB(), kernels.TileConfig{}, 0x3d27fe0b62202f},
 	}
 	for _, c := range cases {
 		t.Run(c.exp.ID, func(t *testing.T) {
