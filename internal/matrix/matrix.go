@@ -13,6 +13,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/softfloat"
@@ -168,11 +169,10 @@ func (m *Matrix) SetValue(i, j int, v float64) { m.Set(i, j, m.DType.Encode(v)) 
 // Row returns the i-th row as a shared slice (no copy).
 func (m *Matrix) Row(i int) []uint32 { return m.Bits[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy's storage is not zero-filled
+// before the words are copied in.
 func (m *Matrix) Clone() *Matrix {
-	out := New(m.DType, m.Rows, m.Cols)
-	copy(out.Bits, m.Bits)
-	return out
+	return &Matrix{DType: m.DType, Rows: m.Rows, Cols: m.Cols, Bits: slices.Clone(m.Bits)}
 }
 
 // Transpose returns a new matrix that is the transpose of m. The paper's

@@ -335,22 +335,42 @@ func SparsifyTouched(m *Matrix, src *rng.Source, frac float64) (touched []int32,
 		Zero(m)
 		return nil, false
 	}
-	idx := make([]int32, n)
+	scratch := idxPool.Get().(*[]int32)
+	defer idxPool.Put(scratch)
+	if cap(*scratch) < n {
+		*scratch = make([]int32, n)
+	}
+	idx := (*scratch)[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	for s := 0; s < k; s++ {
-		j := s + src.Intn(n-s)
-		idx[s], idx[j] = idx[j], idx[s]
-		m.Bits[idx[s]] = 0
+	// Step s draws j = s + Intn(n-s); Intn is one Uint64 modulo its
+	// bound, so the draws come in bulk.
+	var draws [drawChunk]uint64
+	for lo := 0; lo < k; lo += len(draws) {
+		d := draws[:min(len(draws), k-lo)]
+		src.Fill(d)
+		for i, u := range d {
+			s := lo + i
+			j := s + int(u%uint64(n-s))
+			idx[s], idx[j] = idx[j], idx[s]
+			m.Bits[idx[s]] = 0
+		}
 	}
 	if DeltaDenseFrac*k > n {
 		return nil, false
 	}
 	// The shuffle prefix is exactly the set of zeroed positions; copy
-	// it so the n-sized backing array can be collected.
+	// it out of the pooled scratch.
 	return append([]int32(nil), idx[:k]...), true
 }
+
+// idxPool holds SparsifyTouched's index scratch between calls.
+var idxPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// drawChunk is how many random words the bulk-drawing transforms take
+// from rng.Source.Fill at a time: 4 KiB, held on the stack.
+const drawChunk = 512
 
 // RandomBitFlips flips each bit of each element independently with
 // probability p (§IV-B, Fig. 4a). Starting from a constant-filled
@@ -387,16 +407,24 @@ func RandomBitFlipsTouched(m *Matrix, src *rng.Source, p float64) (touched []int
 		return nil, false
 	}
 	if p >= 0.25 {
-		// One 63-bit threshold compare per bit.
+		// One 63-bit threshold compare per bit, element by element and
+		// bit by bit from the low end, drawn in bulk. Both sides are
+		// below 2⁶³, so the difference borrows into bit 63 exactly
+		// when the bit flips.
 		thresh := uint64(p * (1 << 63))
-		for i := range m.Bits {
-			var flip uint32
-			for b := 0; b < width; b++ {
-				if src.Uint64()>>1 < thresh {
-					flip |= 1 << uint(b)
+		var draws [drawChunk]uint64
+		per := len(draws) / width
+		for lo := 0; lo < len(m.Bits); lo += per {
+			els := m.Bits[lo:min(lo+per, len(m.Bits))]
+			d := draws[:len(els)*width]
+			src.Fill(d)
+			for i := range els {
+				var flip uint32
+				for b, u := range d[i*width : (i+1)*width] {
+					flip |= uint32((u>>1-thresh)>>63) << uint(b)
 				}
+				els[i] ^= flip
 			}
-			m.Bits[i] ^= flip
 		}
 		return nil, false
 	}
@@ -437,10 +465,7 @@ func RandomizeLSBs(m *Matrix, src *rng.Source, n int) {
 	if n > width {
 		n = width
 	}
-	mask := bitops.LowMask(n)
-	for i := range m.Bits {
-		m.Bits[i] = (m.Bits[i] &^ mask) | (src.Uint32() & mask)
-	}
+	randomizeBits(m, src, bitops.LowMask(n))
 }
 
 // RandomizeMSBs replaces the n most significant bits of every element
@@ -450,9 +475,20 @@ func RandomizeMSBs(m *Matrix, src *rng.Source, n int) {
 	if n <= 0 {
 		return
 	}
-	mask := bitops.HighMask(n, width)
-	for i := range m.Bits {
-		m.Bits[i] = (m.Bits[i] &^ mask) | (src.Uint32() & mask)
+	randomizeBits(m, src, bitops.HighMask(n, width))
+}
+
+// randomizeBits replaces the masked bits of every element with the
+// masked high half of one draw (what Uint32 returns), drawn in bulk.
+func randomizeBits(m *Matrix, src *rng.Source, mask uint32) {
+	var draws [drawChunk]uint64
+	for lo := 0; lo < len(m.Bits); lo += len(draws) {
+		els := m.Bits[lo:min(lo+len(draws), len(m.Bits))]
+		d := draws[:len(els)]
+		src.Fill(d)
+		for i, u := range d {
+			els[i] = els[i]&^mask | uint32(u>>32)&mask
+		}
 	}
 }
 

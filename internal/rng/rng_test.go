@@ -188,6 +188,27 @@ func TestUint32HighBits(t *testing.T) {
 	}
 }
 
+// TestFillMatchesUint64 holds Fill to the per-call stream: for every
+// length from 0 to 600 and several seeds, Fill writes what that many
+// Uint64 calls return and leaves the state where they would.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
+		for n := 0; n <= 600; n++ {
+			ref, bulk := Derive(seed, "fill"), Derive(seed, "fill")
+			dst := make([]uint64, n)
+			bulk.Fill(dst)
+			for i, got := range dst {
+				if want := ref.Uint64(); got != want {
+					t.Fatalf("seed %d len %d: output %d = %#x, want %#x", seed, n, i, got, want)
+				}
+			}
+			if got, want := bulk.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d len %d: next Uint64 after Fill = %#x, want %#x", seed, n, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
@@ -219,5 +240,14 @@ func TestUint64Golden(t *testing.T) {
 				t.Errorf("%s output %d = %#x, want %#x", c.name, i, got, w)
 			}
 		}
+	}
+}
+
+func BenchmarkFill(b *testing.B) {
+	s := New(1)
+	buf := make([]uint64, 512)
+	b.SetBytes(int64(8 * len(buf)))
+	for i := 0; i < b.N; i++ {
+		s.Fill(buf)
 	}
 }
