@@ -29,6 +29,7 @@ package activity
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -239,40 +240,42 @@ func sigTab16(dt matrix.DType) *[1 << 16]uint8 {
 // also the B operand's stream when B is carried as transposed
 // storage): per-column significand sums, adjacent-element toggles
 // along rows, total Hamming weight, and the non-zero count.
+//
+// The scans accumulate in locals, which stay in registers where
+// struct fields would be stored per element, and count non-zeros
+// without a branch: (b | -b) has bit 31 set exactly when b ≠ 0. A
+// row's first element toggles against itself, adding nothing.
 func ScanA(mt *matrix.Matrix) *OperandStats {
 	st := &OperandStats{Sig: make([]int64, mt.Cols)}
-	sig := st.Sig
 	tab := sigTab16(mt.DType)
 	hmask := bitops.LowMask(mt.DType.Width())
+	var hamming, nonZero, toggles int64
+	if mt.Cols == 0 {
+		return st
+	}
 	for i := 0; i < mt.Rows; i++ {
 		row := mt.Row(i)
-		var prev uint32
+		sig := st.Sig[:len(row)]
+		prev := row[0]
 		if tab != nil {
 			for kk, b := range row {
 				sig[kk] += int64(tab[b&0xFFFF])
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-				if kk > 0 {
-					st.Toggles += int64(bitops.Toggle32(prev, b))
-				}
+				hamming += int64(bits.OnesCount32(b & hmask))
+				nonZero += int64((b | -b) >> 31)
+				toggles += int64(bits.OnesCount32(prev ^ b))
 				prev = b
 			}
 		} else {
 			for kk, b := range row {
 				sig[kk] += int64(softfloat.SigPop32(b))
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-				if kk > 0 {
-					st.Toggles += int64(bitops.Toggle32(prev, b))
-				}
+				hamming += int64(bits.OnesCount32(b & hmask))
+				nonZero += int64((b | -b) >> 31)
+				toggles += int64(bits.OnesCount32(prev ^ b))
 				prev = b
 			}
 		}
 	}
+	st.Hamming, st.NonZero, st.Toggles = hamming, nonZero, toggles
 	return st
 }
 
@@ -280,54 +283,40 @@ func ScanA(mt *matrix.Matrix) *OperandStats {
 // OperandStats in column-stream orientation (the B operand's stream
 // for normal storage): per-row significand sums, adjacent-element
 // toggles down columns (computed row-pair-wise for locality), total
-// Hamming weight, and the non-zero count.
+// Hamming weight, and the non-zero count. It accumulates as ScanA
+// does; the first row toggles against itself.
 func ScanB(mt *matrix.Matrix) *OperandStats {
 	st := &OperandStats{Sig: make([]int64, mt.Rows)}
 	tab := sigTab16(mt.DType)
 	hmask := bitops.LowMask(mt.DType.Width())
+	var hamming, nonZero, toggles int64
 	var prevRow []uint32
 	for kk := 0; kk < mt.Rows; kk++ {
 		row := mt.Row(kk)
+		if prevRow == nil {
+			prevRow = row
+		}
+		prevRow = prevRow[:len(row)]
 		var rowSig int64
-		switch {
-		case tab != nil && prevRow == nil:
-			for _, b := range row {
-				rowSig += int64(tab[b&0xFFFF])
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-			}
-		case tab != nil:
+		if tab != nil {
 			for j, b := range row {
 				rowSig += int64(tab[b&0xFFFF])
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-				st.Toggles += int64(bitops.Toggle32(prevRow[j], b))
+				hamming += int64(bits.OnesCount32(b & hmask))
+				nonZero += int64((b | -b) >> 31)
+				toggles += int64(bits.OnesCount32(prevRow[j] ^ b))
 			}
-		case prevRow == nil:
-			for _, b := range row {
-				rowSig += int64(softfloat.SigPop32(b))
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-			}
-		default:
+		} else {
 			for j, b := range row {
 				rowSig += int64(softfloat.SigPop32(b))
-				st.Hamming += int64(bitops.Popcount32(b & hmask))
-				if b != 0 {
-					st.NonZero++
-				}
-				st.Toggles += int64(bitops.Toggle32(prevRow[j], b))
+				hamming += int64(bits.OnesCount32(b & hmask))
+				nonZero += int64((b | -b) >> 31)
+				toggles += int64(bits.OnesCount32(prevRow[j] ^ b))
 			}
 		}
 		st.Sig[kk] = rowSig
 		prevRow = row
 	}
+	st.Hamming, st.NonZero, st.Toggles = hamming, nonZero, toggles
 	return st
 }
 
