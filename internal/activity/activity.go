@@ -524,11 +524,11 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 		for kk := 0; kk < k; kk++ {
 			a := softfloat.F32FromBits(aRow[kk])
 			b := softfloat.F32FromBits(bCol[kk])
-			prod := a * b
+			prod := softfloat.MulF32(a, b)
 			pb := math.Float32bits(prod)
 			prodTog += int64(bitops.Toggle32(prevProd, pb))
 			prevProd = pb
-			acc += prod
+			acc = softfloat.AddF32(acc, prod)
 			ab := math.Float32bits(acc)
 			accTog += int64(bitops.Toggle32(prevAcc, ab))
 			prevAcc = ab
@@ -550,11 +550,11 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 		var acc float32
 		var prevProd, prevAcc uint32
 		for kk := 0; kk < k; kk++ {
-			prod := softfloat.F16ToF32(uint16(aRow[kk])) * softfloat.F16ToF32(uint16(bCol[kk]))
+			prod := softfloat.MulF32(softfloat.F16ToF32(uint16(aRow[kk])), softfloat.F16ToF32(uint16(bCol[kk])))
 			pb := math.Float32bits(prod)
 			prodTog += int64(bitops.Toggle32(prevProd, pb))
 			prevProd = pb
-			acc += prod
+			acc = softfloat.AddF32(acc, prod)
 			ab := math.Float32bits(acc)
 			accTog += int64(bitops.Toggle32(prevAcc, ab))
 			prevAcc = ab
@@ -564,11 +564,11 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 		var acc float32
 		var prevProd, prevAcc uint32
 		for kk := 0; kk < k; kk++ {
-			prod := softfloat.BF16ToF32(uint16(aRow[kk])) * softfloat.BF16ToF32(uint16(bCol[kk]))
+			prod := softfloat.MulF32(softfloat.BF16ToF32(uint16(aRow[kk])), softfloat.BF16ToF32(uint16(bCol[kk])))
 			pb := math.Float32bits(prod)
 			prodTog += int64(bitops.Toggle32(prevProd, pb))
 			prevProd = pb
-			acc += prod
+			acc = softfloat.AddF32(acc, prod)
 			ab := math.Float32bits(acc)
 			accTog += int64(bitops.Toggle32(prevAcc, ab))
 			prevAcc = ab
@@ -612,13 +612,13 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			pb0 := math.Float32bits(softfloat.F32FromBits(a0) * softfloat.F32FromBits(bb0))
-			pb1 := math.Float32bits(softfloat.F32FromBits(a1) * softfloat.F32FromBits(bb1))
+			pb0 := math.Float32bits(softfloat.MulF32(softfloat.F32FromBits(a0), softfloat.F32FromBits(bb0)))
+			pb1 := math.Float32bits(softfloat.MulF32(softfloat.F32FromBits(a1), softfloat.F32FromBits(bb1)))
 			prodTog0 += int64(bitops.Toggle32(prevProd0, pb0))
 			prodTog1 += int64(bitops.Toggle32(prevProd1, pb1))
 			prevProd0, prevProd1 = pb0, pb1
-			acc0 += softfloat.F32FromBits(pb0)
-			acc1 += softfloat.F32FromBits(pb1)
+			acc0 = softfloat.AddF32(acc0, softfloat.F32FromBits(pb0))
+			acc1 = softfloat.AddF32(acc1, softfloat.F32FromBits(pb1))
 			ab0 := math.Float32bits(acc0)
 			ab1 := math.Float32bits(acc1)
 			accTog0 += int64(bitops.Toggle32(prevAcc0, ab0))
@@ -652,13 +652,13 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			pb0 := math.Float32bits(softfloat.F16ToF32(uint16(a0)) * softfloat.F16ToF32(uint16(bb0)))
-			pb1 := math.Float32bits(softfloat.F16ToF32(uint16(a1)) * softfloat.F16ToF32(uint16(bb1)))
+			pb0 := math.Float32bits(softfloat.MulF32(softfloat.F16ToF32(uint16(a0)), softfloat.F16ToF32(uint16(bb0))))
+			pb1 := math.Float32bits(softfloat.MulF32(softfloat.F16ToF32(uint16(a1)), softfloat.F16ToF32(uint16(bb1))))
 			prodTog0 += int64(bitops.Toggle32(prevProd0, pb0))
 			prodTog1 += int64(bitops.Toggle32(prevProd1, pb1))
 			prevProd0, prevProd1 = pb0, pb1
-			acc0 += softfloat.F32FromBits(pb0)
-			acc1 += softfloat.F32FromBits(pb1)
+			acc0 = softfloat.AddF32(acc0, softfloat.F32FromBits(pb0))
+			acc1 = softfloat.AddF32(acc1, softfloat.F32FromBits(pb1))
 			ab0 := math.Float32bits(acc0)
 			ab1 := math.Float32bits(acc1)
 			accTog0 += int64(bitops.Toggle32(prevAcc0, ab0))
@@ -673,13 +673,13 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			pb0 := math.Float32bits(softfloat.BF16ToF32(uint16(a0)) * softfloat.BF16ToF32(uint16(bb0)))
-			pb1 := math.Float32bits(softfloat.BF16ToF32(uint16(a1)) * softfloat.BF16ToF32(uint16(bb1)))
+			pb0 := math.Float32bits(softfloat.MulF32(softfloat.BF16ToF32(uint16(a0)), softfloat.BF16ToF32(uint16(bb0))))
+			pb1 := math.Float32bits(softfloat.MulF32(softfloat.BF16ToF32(uint16(a1)), softfloat.BF16ToF32(uint16(bb1))))
 			prodTog0 += int64(bitops.Toggle32(prevProd0, pb0))
 			prodTog1 += int64(bitops.Toggle32(prevProd1, pb1))
 			prevProd0, prevProd1 = pb0, pb1
-			acc0 += softfloat.F32FromBits(pb0)
-			acc1 += softfloat.F32FromBits(pb1)
+			acc0 = softfloat.AddF32(acc0, softfloat.F32FromBits(pb0))
+			acc1 = softfloat.AddF32(acc1, softfloat.F32FromBits(pb1))
 			ab0 := math.Float32bits(acc0)
 			ab1 := math.Float32bits(acc1)
 			accTog0 += int64(bitops.Toggle32(prevAcc0, ab0))

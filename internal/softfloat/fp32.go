@@ -33,3 +33,28 @@ func Exponent32(b uint32) uint32 { return (b & F32ExpMask) >> F32MantBits }
 
 // Exponent16 returns the biased exponent field of a binary16 pattern.
 func Exponent16(h uint16) uint16 { return (h & F16ExpMask) >> F16MantBits }
+
+// MulF32 is a*b, and AddF32 a+b, with the NaN rule of an SSE
+// instruction whose first source operand is a: when both operands are
+// NaN, the result is a, quieted (one NaN operand propagates alone,
+// quieted, under either order). A bare Go a*b or a+b leaves the
+// choice of first source to the register allocator, so the surviving
+// NaN, and with it the result's sign bit, could change with the build.
+func MulF32(a, b float32) float32 {
+	if a != a && b != b {
+		return quietF32(a)
+	}
+	return a * b
+}
+
+// AddF32 is a+b with MulF32's NaN rule.
+func AddF32(a, b float32) float32 {
+	if a != a && b != b {
+		return quietF32(a)
+	}
+	return a + b
+}
+
+func quietF32(f float32) float32 {
+	return math.Float32frombits(math.Float32bits(f) | 0x0040_0000)
+}
