@@ -19,7 +19,7 @@ import (
 // sparsify / bit transforms to the same underlying matrices, not to
 // fresh draws per sweep coordinate.
 //
-// Two further layers ride on the same refcounts:
+// Three further layers ride on the same refcounts:
 //
 //   - Raw draw streams. Patterns that split generation into a
 //     datatype-independent draw plus a per-datatype encode
@@ -37,6 +37,13 @@ import (
 //     base. The result is a second entry with its own memoized stats,
 //     which serves every point and datatype of the class whose
 //     pipeline starts with that prefix; Fill stays the reference.
+//
+// Refcounts are per job, and a job serves a whole datatype group (see
+// Run), so FP16 and FP16-T request each matrix once between them. The
+// cached matrices and the jobs' transformed clones live in recycled
+// storage (operandPool): a Run takes its words from the pool and hands
+// them back once its jobs are done, so a campaign's steady state
+// allocates no operand storage.
 
 // encClass maps a datatype to its encoding class: datatypes that store
 // identical bit patterns for identical value streams share one cache
@@ -69,6 +76,25 @@ type baseKey struct {
 	side  string       // "A" or "B"
 	seed  int
 	stageName
+}
+
+// operandPool recycles operand storage across jobs and Runs: a job's
+// transformed clones return once every datatype of its group has been
+// measured, and a Run's base and prefix matrices once all its jobs
+// have. A matrix taken from the pool holds stale words; every taker
+// overwrites all of them.
+var operandPool sync.Pool
+
+// newOperand returns a size×size matrix of datatype dt in pooled
+// storage, its words not zeroed.
+func newOperand(dt matrix.DType, size int) *matrix.Matrix {
+	n := size * size
+	m, _ := operandPool.Get().(*matrix.Matrix)
+	if m == nil || cap(m.Bits) < n {
+		return &matrix.Matrix{DType: dt, Rows: size, Cols: size, Bits: make([]uint32, n)}
+	}
+	m.DType, m.Rows, m.Cols, m.Bits = dt, size, size, m.Bits[:n]
+	return m
 }
 
 type baseEntry struct {
@@ -144,6 +170,27 @@ type baseCache struct {
 	entries map[baseKey]*baseEntry
 	streams map[streamKey]*streamEntry
 	groups  map[streamKey]*groupEntry
+	made    []*matrix.Matrix // every base and prefix matrix, for release
+}
+
+// newMatrix returns pooled storage for a base or prefix matrix and
+// records it for release.
+func (c *baseCache) newMatrix(dt matrix.DType, size int) *matrix.Matrix {
+	m := newOperand(dt, size)
+	c.mu.Lock()
+	c.made = append(c.made, m)
+	c.mu.Unlock()
+	return m
+}
+
+// release returns every base and prefix matrix to the pool. It runs
+// once the Run's jobs are done: an entry leaves the map at its last
+// request, but its last requester may still be reading it.
+func (c *baseCache) release() {
+	for _, m := range c.made {
+		operandPool.Put(m)
+	}
+	c.made = nil
 }
 
 func newBaseCache() *baseCache {
@@ -223,18 +270,15 @@ func (c *baseCache) group(key streamKey, uses int, gen func(g *groupEntry)) *gro
 	return g
 }
 
-// addUses adds one datatype's requests per (side, seed) to its
-// encoding class's refcounts, the counts get() needs: one per point
-// for the matrix its transform starts from, plus one base request per
+// addUse adds one job's request per (side, seed) to its encoding
+// class's refcounts, the counts get() needs: one for the matrix the
+// pattern's transform starts from, plus one base request for each
 // prefix the class builds.
-func addUses(uses map[stageName]int, exp Experiment, dt matrix.DType) {
-	for _, pt := range exp.Points {
-		st := stageOf(pt.Pattern(dt))
-		if st.prep != "" && uses[st] == 0 {
-			uses[stageName{base: st.base}]++
-		}
-		uses[st]++
+func addUse(uses map[stageName]int, st stageName) {
+	if st.prep != "" && uses[st] == 0 {
+		uses[stageName{base: st.base}]++
 	}
+	uses[st]++
 }
 
 // materialize produces one operand matrix for a job together with its
@@ -250,16 +294,19 @@ func addUses(uses map[stageName]int, exp Experiment, dt matrix.DType) {
 // it when the pattern has no transform stage; otherwise a clone of
 // that matrix carried through the transform chain, whose statistics
 // are patched incrementally from the cached ones when the chain
-// enumerates its touched positions.
-func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string]int,
-	streamClasses map[string][]matrix.DType,
-	pat patterns.Pattern, dt matrix.DType, side string, seed int, streamSeed uint64,
-	size int, colOrient bool) (*matrix.Matrix, *activity.OperandStats) {
+// enumerates its touched positions. The bool reports such a clone,
+// which the caller owns and returns to operandPool when done. A shared
+// matrix carries the datatype tag of whichever class member built it.
+func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string, seed int,
+	streamSeed uint64, colOrient bool) (*matrix.Matrix, *activity.OperandStats, bool) {
+	size := r.cfg.Size
 	if pat.BaseFill == nil {
 		m := matrix.New(dt, size, size)
 		pat.Apply(m, rng.Derive(streamSeed, side))
-		return m, nil
+		return m, nil, false
 	}
+	cache := r.cache
+	uses := r.uses[encClass(dt)]
 	baseAt := baseKey{class: encClass(dt), side: side, seed: seed, stageName: stageName{base: pat.BaseName}}
 	genBase := func(e *baseEntry) *matrix.Matrix {
 		src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
@@ -269,14 +316,14 @@ func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string
 			// row-chunked pass: the draw row stays cache-hot while
 			// each class encodes it and extracts its row-stream
 			// stats — no raw-stream buffer, one memory pass total.
-			if classes := streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
+			if classes := r.streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
 				g := cache.group(streamKey{side: side, seed: seed, name: pat.BaseName},
-					streamUses[pat.BaseName], func(g *groupEntry) {
+					r.streamUses[pat.BaseName], func(g *groupEntry) {
 						targets := make([]activity.GaussianTarget, len(classes))
 						for i, cl := range classes {
 							mean, std := pat.EncodeAffine(cl)
 							targets[i] = activity.GaussianTarget{
-								M: matrix.New(cl, size, size), Mean: mean, Std: std,
+								M: cache.newMatrix(cl, size), Mean: mean, Std: std,
 							}
 						}
 						activity.GenerateGaussianFused(src, targets)
@@ -291,9 +338,9 @@ func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string
 				e.rowOnce.Do(func() { e.rowStats = g.sts[cl] })
 				return g.ms[cl]
 			}
-			m := matrix.New(dt, size, size)
+			m := cache.newMatrix(dt, size)
 			raw := cache.stream(streamKey{side: side, seed: seed, name: pat.BaseName},
-				streamUses[pat.BaseName], func() []float64 {
+				r.streamUses[pat.BaseName], func() []float64 {
 					return pat.DrawStream(src, size*size)
 				})
 			// When the base's row-stream stats will plausibly be
@@ -317,7 +364,8 @@ func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string
 			}
 			return m
 		}
-		m := matrix.New(dt, size, size)
+		m := cache.newMatrix(dt, size)
+		clear(m.Bits) // BaseFill may count on matrix.New's zeroed words
 		pat.BaseFill(m, src)
 		return m
 	}
@@ -326,39 +374,37 @@ func materialize(cache *baseCache, uses map[stageName]int, streamUses map[string
 		e = cache.get(baseAt, uses[baseAt.stageName], genBase)
 	} else {
 		// The prefix is built once, from a clone of the base; each
-		// prefix counts as one use of the base (addUses).
+		// prefix counts as one use of the base (addUse).
 		prepAt := baseAt
 		prepAt.stageName = stageOf(pat)
 		e = cache.get(prepAt, uses[prepAt.stageName], func(*baseEntry) *matrix.Matrix {
-			m := cache.get(baseAt, uses[baseAt.stageName], genBase).m.Clone()
+			base := cache.get(baseAt, uses[baseAt.stageName], genBase).m
+			m := cache.newMatrix(base.DType, size)
+			copy(m.Bits, base.Bits)
 			pat.Prep(m)
 			return m
 		})
 	}
 	base := e.m
-	if base.DType != dt {
-		// Same encoding class, different datatype tag (FP16 vs FP16-T):
-		// share the bit patterns read-only under the requested tag.
-		base = &matrix.Matrix{DType: dt, Rows: base.Rows, Cols: base.Cols, Bits: base.Bits}
-	}
 	if pat.Transform == nil {
 		// No transform stage: the shared matrix is used as-is
 		// (read-only downstream), and its memoized stats apply directly.
-		return base, e.stats(colOrient)
+		return base, e.stats(colOrient), false
 	}
-	m := base.Clone()
+	m := newOperand(base.DType, size)
+	copy(m.Bits, base.Bits)
 	src := rng.Derive(streamSeed, side+"/x/"+pat.Name)
 	if pat.DeltaTransform == nil {
 		pat.Transform(m, src)
-		return m, nil
+		return m, nil, true
 	}
 	touched, ok := pat.DeltaTransform(m, src)
 	if !ok {
-		return m, nil
+		return m, nil, true
 	}
 	st := e.stats(colOrient)
 	if colOrient {
-		return m, st.DeltaColScan(base, m, touched)
+		return m, st.DeltaColScan(base, m, touched), true
 	}
-	return m, st.DeltaRowScan(base, m, touched)
+	return m, st.DeltaRowScan(base, m, touched), true
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/activity"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kernels"
@@ -171,34 +172,129 @@ func iterationsFor(dt matrix.DType) int {
 	return 10000
 }
 
-// runOne executes a single measurement. Base matrices come from the
-// per-Run cache: the generation streams depend on (experiment, seed,
-// side) but not on the point, so every point's transform variant
+// runner is one Run's shared state: the per-Run operand cache, the
+// refcounts it evicts by, and the outcome of every (datatype, point,
+// seed) cell, which jobs write at disjoint indices.
+type runner struct {
+	cfg   Config
+	exp   Experiment
+	cache *baseCache
+	// uses holds each encoding class's refcounts per (side, seed).
+	uses map[matrix.DType]map[stageName]int
+	// streamUses counts the encoding classes that generate each base
+	// name; streamClasses lists them, ordered, for the fused
+	// multi-class generation.
+	streamUses    map[string]int
+	streamClasses map[string][]matrix.DType
+
+	outs []runOutcome
+	errs []error
+}
+
+// cell returns the index of a (datatype, point, seed) outcome.
+func (r *runner) cell(di, pi, seed int) int {
+	return (di*len(r.exp.Points)+pi)*r.cfg.Seeds + seed
+}
+
+// dtypeGroups partitions the indices of dts by the encoding class and
+// name of the point's pattern, each group ascending and the groups in
+// order of their first index. A group's datatypes get bit-identical
+// operands: FP16 and FP16-T differ in arithmetic, not in storage.
+func dtypeGroups(pt Point, dts []matrix.DType) [][]int {
+	type key struct {
+		class matrix.DType
+		name  string
+	}
+	var groups [][]int
+	at := map[key]int{}
+	for di, dt := range dts {
+		k := key{encClass(dt), pt.Pattern(dt).Name}
+		gi, ok := at[k]
+		if !ok {
+			gi = len(groups)
+			at[k] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], di)
+	}
+	return groups
+}
+
+// runGroup measures one point and seed for a group of datatypes with
+// bit-identical operands. Base matrices come from the per-Run cache:
+// the generation streams depend on (experiment, seed, side) but not on
+// the point or the datatype, so every point's transform variant
 // derives from the same underlying generation; A and B always differ
-// (§III). When the point consumes Bᵀ (the paper's default), the
-// generated matrix is handed to the kernel as transposed storage
-// instead of materializing the transpose — bit-identical results,
-// no transpose pass, and the operand's column-stream statistics are
-// the base's row-stream statistics.
-func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
-	cache *baseCache, uses map[stageName]int, streamUses map[string]int,
-	streamClasses map[string][]matrix.DType) (runOutcome, error) {
-	pat := pt.Pattern(dt)
-	base := rng.Derive(uint64(seed)+1, exp.ID)
+// (§III). The job builds A and B and their statistics once; when the
+// transform chain is untracked and the group holds several datatypes,
+// it scans them once too. The chain and the DCGM-style measurement
+// then run per datatype, on a header retagged to it. When the point
+// consumes Bᵀ (the paper's default), the generated matrix is handed to
+// the kernel as transposed storage instead of materializing the
+// transpose — bit-identical results, no transpose pass, and the
+// operand's column-stream statistics are the base's row-stream
+// statistics.
+func (r *runner) runGroup(pi, seed int, dis []int) {
+	pt := r.exp.Points[pi]
+	dt0 := r.cfg.DTypes[dis[0]]
+	pat := pt.Pattern(dt0)
+	base := rng.Derive(uint64(seed)+1, r.exp.ID)
 	seedA := base.Uint64()
 	seedB := base.Uint64()
 
 	transposeB := pt.transposeB()
-	a, aStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "A", seed, seedA, cfg.Size, false)
-	g, bStats := materialize(cache, uses, streamUses, streamClasses, pat, dt, "B", seed, seedB, cfg.Size, !transposeB)
-
-	ch, err := core.RunChain(cfg.Device, dt, a, g, core.ChainSpec{
+	a, aStats, ownA := r.materialize(pat, dt0, "A", seed, seedA, false)
+	g, bStats, ownB := r.materialize(pat, dt0, "B", seed, seedB, !transposeB)
+	if len(dis) > 1 {
+		// One rescan serves every chain of the group. Under transposed
+		// storage B's column-stream profile is the stored rows' scan.
+		if aStats == nil {
+			aStats = activity.ScanA(a)
+		}
+		switch {
+		case bStats != nil:
+		case transposeB:
+			bStats = activity.ScanA(g)
+		default:
+			bStats = activity.ScanB(g)
+		}
+	}
+	spec := core.ChainSpec{
 		TransposeB:    transposeB,
-		Tile:          cfg.Tile,
-		SampleOutputs: cfg.SampleOutputs,
+		Tile:          r.cfg.Tile,
+		SampleOutputs: r.cfg.SampleOutputs,
 		AStats:        aStats,
 		BStats:        bStats,
-	})
+	}
+	// Decorrelate measurement noise across points: the generation
+	// seeds are point-independent, so fold the point label in.
+	noiseSeed := rng.Derive(seedA^seedB, pt.Label).Uint64()
+	for _, di := range dis {
+		dt := r.cfg.DTypes[di]
+		i := r.cell(di, pi, seed)
+		r.outs[i], r.errs[i] = measure(r.cfg, dt, retag(a, dt), retag(g, dt), spec, noiseSeed)
+	}
+	if ownA {
+		operandPool.Put(a)
+	}
+	if ownB {
+		operandPool.Put(g)
+	}
+}
+
+// retag returns m under datatype dt: m itself, or a header sharing its
+// words when another datatype of the encoding class built it.
+func retag(m *matrix.Matrix, dt matrix.DType) *matrix.Matrix {
+	if m.DType == dt {
+		return m
+	}
+	return &matrix.Matrix{DType: dt, Rows: m.Rows, Cols: m.Cols, Bits: m.Bits}
+}
+
+// measure runs the measurement chain for one datatype and samples its
+// power DCGM-style.
+func measure(cfg Config, dt matrix.DType, a, b *matrix.Matrix, spec core.ChainSpec, noiseSeed uint64) (runOutcome, error) {
+	ch, err := core.RunChain(cfg.Device, dt, a, b, spec)
 	if err != nil {
 		return runOutcome{}, err
 	}
@@ -211,9 +307,7 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 	}
 	meas, err := telemetry.Measure(res, iters, telemetry.Config{
 		VMInstance: cfg.VMInstance,
-		// Decorrelate measurement noise across points: the generation
-		// seeds are point-independent, so fold the point label in.
-		Seed: rng.Derive(seedA^seedB, pt.Label).Uint64(),
+		Seed:       noiseSeed,
 	})
 	if err != nil {
 		return runOutcome{}, err
@@ -230,7 +324,8 @@ func runOne(cfg Config, exp Experiment, pt Point, dt matrix.DType, seed int,
 }
 
 // Run executes an experiment under the configuration and aggregates
-// seeds into cells. Runs are fanned out to Workers goroutines.
+// seeds into cells. One job per (point, seed, datatype group) is
+// fanned out to Workers goroutines.
 func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Device.Validate(); err != nil {
@@ -240,63 +335,60 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		return nil, fmt.Errorf("experiments: %s has no points", exp.ID)
 	}
 
-	type job struct{ di, pi, seed int }
-	type result struct {
-		job
-		out runOutcome
-		err error
-	}
-	jobs := make([]job, 0, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds)
-	for di := range cfg.DTypes {
-		for pi := range exp.Points {
-			for s := 0; s < cfg.Seeds; s++ {
-				jobs = append(jobs, job{di, pi, s})
-			}
-		}
-	}
-
 	// Per-Run base-matrix cache, so transform variants across points
 	// (and datatypes of the same encoding class) share one generation
-	// and one run of each RNG-free prefix per (seed, side). Refcounts
-	// aggregate over the dtypes of a class.
-	cache := newBaseCache()
-	usesByClass := map[matrix.DType]map[stageName]int{}
-	for _, dt := range cfg.DTypes {
-		cl := encClass(dt)
-		if usesByClass[cl] == nil {
-			usesByClass[cl] = map[stageName]int{}
-		}
-		addUses(usesByClass[cl], exp, dt)
+	// and one run of each RNG-free prefix per (seed, side). Each job
+	// counts one use per (side, seed) in its encoding class.
+	r := &runner{
+		cfg:           cfg,
+		exp:           exp,
+		cache:         newBaseCache(),
+		uses:          map[matrix.DType]map[stageName]int{},
+		streamUses:    map[string]int{},
+		streamClasses: map[string][]matrix.DType{},
+		outs:          make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
+		errs:          make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 	}
-	uses := make([]map[stageName]int, len(cfg.DTypes))
-	for di, dt := range cfg.DTypes {
-		uses[di] = usesByClass[encClass(dt)]
+	type job struct {
+		pi, seed int
+		dis      []int
+	}
+	var jobs []job
+	for pi, pt := range exp.Points {
+		for _, dis := range dtypeGroups(pt, cfg.DTypes) {
+			dt := cfg.DTypes[dis[0]]
+			cl := encClass(dt)
+			if r.uses[cl] == nil {
+				r.uses[cl] = map[stageName]int{}
+			}
+			addUse(r.uses[cl], stageOf(pt.Pattern(dt)))
+			for s := 0; s < cfg.Seeds; s++ {
+				jobs = append(jobs, job{pi, s, dis})
+			}
+		}
 	}
 	// Raw draw streams are shared across encoding classes: each class
 	// that generates a given base name consumes the stream once. The
 	// class list per base name drives the fused multi-class generation
 	// (one pass draws and encodes every class); classes are ordered for
 	// a deterministic generation layout.
-	streamUses := map[string]int{}
-	streamClasses := map[string][]matrix.DType{}
-	for cl, classUses := range usesByClass {
+	for cl, classUses := range r.uses {
 		for st := range classUses {
 			if st.prep == "" {
-				streamUses[st.base]++
-				streamClasses[st.base] = append(streamClasses[st.base], cl)
+				r.streamUses[st.base]++
+				r.streamClasses[st.base] = append(r.streamClasses[st.base], cl)
 			}
 		}
 	}
-	for _, classes := range streamClasses {
+	for _, classes := range r.streamClasses {
 		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 	}
 
-	results := make([]result, len(jobs))
 	fanOut(len(jobs), cfg.Workers, func(idx int) {
 		j := jobs[idx]
-		out, err := runOne(cfg, exp, exp.Points[j.pi], cfg.DTypes[j.di], j.seed, cache, uses[j.di], streamUses, streamClasses)
-		results[idx] = result{job: j, out: out, err: err}
+		r.runGroup(j.pi, j.seed, j.dis)
 	})
+	r.cache.release()
 
 	fr := &FigureResult{Experiment: exp, Config: cfg, Series: map[matrix.DType][]Cell{}}
 	for di, dt := range cfg.DTypes {
@@ -304,21 +396,20 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		for pi, pt := range exp.Points {
 			var powers, times, energies, aligns, hams, busies []float64
 			throttled := false
-			for _, r := range results {
-				if r.err != nil {
+			for s := 0; s < cfg.Seeds; s++ {
+				i := r.cell(di, pi, s)
+				if err := r.errs[i]; err != nil {
 					return nil, fmt.Errorf("experiments: %s %v point %q seed %d: %w",
-						exp.ID, cfg.DTypes[r.di], exp.Points[r.pi].Label, r.seed, r.err)
+						exp.ID, dt, pt.Label, s, err)
 				}
-				if r.di != di || r.pi != pi {
-					continue
-				}
-				powers = append(powers, r.out.powerW)
-				times = append(times, r.out.iterTimeS)
-				energies = append(energies, r.out.energyJ)
-				aligns = append(aligns, r.out.alignment)
-				hams = append(hams, r.out.hamming)
-				busies = append(busies, r.out.busyFrac)
-				throttled = throttled || r.out.throttled
+				o := r.outs[i]
+				powers = append(powers, o.powerW)
+				times = append(times, o.iterTimeS)
+				energies = append(energies, o.energyJ)
+				aligns = append(aligns, o.alignment)
+				hams = append(hams, o.hamming)
+				busies = append(busies, o.busyFrac)
+				throttled = throttled || o.throttled
 			}
 			cells[pi] = Cell{
 				Label:          pt.Label,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -570,11 +571,13 @@ func TestFormatFig8AndCSV(t *testing.T) {
 }
 
 // TestRunWorkerCountInvariant runs panels whose points share cached
-// prefixes (a sort before sparsity, within-row sorts) on one worker
-// and on several, which race to build the same base and prefix
-// entries; the cells must not depend on the schedule.
+// prefixes (a sort before sparsity, within-row sorts) or whose jobs
+// recycle transformed clones (bit flips, sparsity) on one worker and
+// on several, which race to build the same base and prefix entries and
+// to take and return pooled storage; the cells must not depend on the
+// schedule.
 func TestRunWorkerCountInvariant(t *testing.T) {
-	for _, exp := range []Experiment{Fig6bSparsityAfterSort(), Fig5dSortWithinRows()} {
+	for _, exp := range []Experiment{Fig6bSparsityAfterSort(), Fig5dSortWithinRows(), Fig4aBitFlips(), Fig6aSparsity()} {
 		t.Run(exp.ID, func(t *testing.T) {
 			cfg := Config{
 				Device:        device.A100PCIe(),
@@ -595,6 +598,79 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 			}
 			if !reflect.DeepEqual(series[0], series[1]) {
 				t.Error("cells differ between 1 and 4 workers")
+			}
+		})
+	}
+}
+
+// TestRunGroupedDTypesMatchSeparate: a job serves every datatype of a
+// group (FP16 and FP16-T share operands and rescans), so each
+// datatype's series from a four-datatype Run must equal a Run of that
+// datatype alone, which builds its operands by itself.
+func TestRunGroupedDTypesMatchSeparate(t *testing.T) {
+	for _, exp := range []Experiment{Fig4aBitFlips(), Fig6aSparsity()} {
+		t.Run(exp.ID, func(t *testing.T) {
+			cfg := Config{
+				Device:        device.A100PCIe(),
+				Size:          48,
+				DTypes:        []matrix.DType{matrix.FP32, matrix.FP16, matrix.FP16T, matrix.INT8},
+				Seeds:         2,
+				SampleOutputs: 16,
+				VMInstance:    1,
+			}
+			all, err := Run(exp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dt := range cfg.DTypes {
+				one := cfg
+				one.DTypes = []matrix.DType{dt}
+				fr, err := Run(exp, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fr.Series[dt], all.Series[dt]) {
+					t.Errorf("%v: cells of a one-datatype Run differ from the grouped Run's", dt)
+				}
+			}
+		})
+	}
+}
+
+// TestRunRecyclesOperandStorage: once a Run has filled the pool, a
+// repeat Run takes its transformed clones and its base and prefix
+// matrices from it, and allocates less than one operand's storage per
+// job. Building each operand afresh costs two per job.
+func TestRunRecyclesOperandStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
+	for _, exp := range []Experiment{Fig4aBitFlips(), Fig6aSparsity()} {
+		t.Run(exp.ID, func(t *testing.T) {
+			cfg := Config{
+				Device:        device.A100PCIe(),
+				Size:          128,
+				DTypes:        []matrix.DType{matrix.FP32, matrix.FP16, matrix.FP16T, matrix.INT8},
+				Seeds:         2,
+				SampleOutputs: 16,
+				VMInstance:    1,
+				Workers:       2,
+			}
+			if _, err := Run(exp, cfg); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(exp, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			// FP32, FP16 with FP16-T, and INT8: three groups per point.
+			jobs := len(exp.Points) * 3 * cfg.Seeds
+			operand := uint64(4 * cfg.Size * cfg.Size)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(jobs)*operand {
+				t.Errorf("warm Run allocated %d B, want under %d B (one %d B operand per job, %d jobs)",
+					got, uint64(jobs)*operand, operand, jobs)
 			}
 		})
 	}

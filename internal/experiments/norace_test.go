@@ -1,0 +1,7 @@
+//go:build !race
+
+package experiments
+
+// raceEnabled reports whether the race detector is on; tests that rely
+// on sync.Pool reuse skip under it.
+const raceEnabled = false
