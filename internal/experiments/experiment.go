@@ -349,21 +349,35 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		outs:          make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 		errs:          make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 	}
-	type job struct {
-		pi, seed int
-		dis      []int
-	}
-	var jobs []job
+	groups := make([][][]int, len(exp.Points))
 	for pi, pt := range exp.Points {
-		for _, dis := range dtypeGroups(pt, cfg.DTypes) {
+		groups[pi] = dtypeGroups(pt, cfg.DTypes)
+		for _, dis := range groups[pi] {
 			dt := cfg.DTypes[dis[0]]
 			cl := encClass(dt)
 			if r.uses[cl] == nil {
 				r.uses[cl] = map[stageName]int{}
 			}
 			addUse(r.uses[cl], stageOf(pt.Pattern(dt)))
-			for s := 0; s < cfg.Seeds; s++ {
-				jobs = append(jobs, job{pi, s, dis})
+		}
+	}
+	// Jobs go out datatype-major: workers then build different points'
+	// bases side by side, where point-major order would have one wait
+	// on the other's fused generation of the same base.
+	type job struct {
+		pi, seed int
+		dis      []int
+	}
+	var jobs []job
+	for di := range cfg.DTypes {
+		for pi := range exp.Points {
+			for _, dis := range groups[pi] {
+				if dis[0] != di {
+					continue
+				}
+				for s := 0; s < cfg.Seeds; s++ {
+					jobs = append(jobs, job{pi, s, dis})
+				}
 			}
 		}
 	}
