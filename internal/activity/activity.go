@@ -538,10 +538,12 @@ func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
 		var acc uint16
 		var prevProd, prevAcc uint16
 		for kk := 0; kk < k; kk++ {
-			prod := softfloat.Mul16(uint16(aRow[kk]), uint16(bCol[kk]))
+			// Mul16 and Add16 under MulF32's NaN rule, written out:
+			// the rule would push them past the inliner's budget.
+			prod := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(aRow[kk])), softfloat.F16ToF32(uint16(bCol[kk]))))
 			prodTog += int64(bitops.Toggle16(prevProd, prod))
 			prevProd = prod
-			acc = softfloat.Add16(acc, prod)
+			acc = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc), softfloat.F16ToF32(prod)))
 			accTog += int64(bitops.Toggle16(prevAcc, acc))
 			prevAcc = acc
 			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
@@ -633,13 +635,14 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			prod0 := softfloat.Mul16(uint16(a0), uint16(bb0))
-			prod1 := softfloat.Mul16(uint16(a1), uint16(bb1))
+			// Mul16 and Add16 written out, as in walkLane.
+			prod0 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a0)), softfloat.F16ToF32(uint16(bb0))))
+			prod1 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a1)), softfloat.F16ToF32(uint16(bb1))))
 			prodTog0 += int64(bitops.Toggle16(prevProd0, prod0))
 			prodTog1 += int64(bitops.Toggle16(prevProd1, prod1))
 			prevProd0, prevProd1 = prod0, prod1
-			acc0 = softfloat.Add16(acc0, prod0)
-			acc1 = softfloat.Add16(acc1, prod1)
+			acc0 = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc0), softfloat.F16ToF32(prod0)))
+			acc1 = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc1), softfloat.F16ToF32(prod1)))
 			accTog0 += int64(bitops.Toggle16(prevAcc0, acc0))
 			accTog1 += int64(bitops.Toggle16(prevAcc1, acc1))
 			prevAcc0, prevAcc1 = acc0, acc1

@@ -179,13 +179,13 @@ func F16MantMaskU32() uint32 { return uint32(F16MantMask) }
 // Mul16 returns the correctly rounded binary16 product of two binary16
 // values.
 func Mul16(a, b uint16) uint16 {
-	return F32ToF16(MulF32(F16ToF32(a), F16ToF32(b)))
+	return F32ToF16(F16ToF32(a) * F16ToF32(b))
 }
 
 // Add16 returns the correctly rounded binary16 sum of two binary16
 // values.
 func Add16(a, b uint16) uint16 {
-	return F32ToF16(AddF32(F16ToF32(a), F16ToF32(b)))
+	return F32ToF16(F16ToF32(a) + F16ToF32(b))
 }
 
 // FMA16 performs a fused multiply-add entirely in binary16 precision:

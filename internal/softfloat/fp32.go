@@ -34,14 +34,14 @@ func Exponent32(b uint32) uint32 { return (b & F32ExpMask) >> F32MantBits }
 // Exponent16 returns the biased exponent field of a binary16 pattern.
 func Exponent16(h uint16) uint16 { return (h & F16ExpMask) >> F16MantBits }
 
-// MulF32 is a*b, and AddF32 a+b, with the NaN rule of an SSE
-// instruction whose first source operand is a: when both operands are
-// NaN, the result is a, quieted (one NaN operand propagates alone,
-// quieted, under either order). A bare Go a*b or a+b leaves the
-// choice of first source to the register allocator, so the surviving
-// NaN, and with it the result's sign bit, could change with the build.
+// MulF32 returns a*b under a fixed NaN rule: when a is NaN, the
+// result is a, quieted, as an SSE multiply whose first source is a
+// returns it. A bare a*b leaves the choice of first source to the
+// register allocator, so when both operands are NaN the surviving one,
+// and with it the result's sign, could change with the build. A NaN b
+// alone propagates, quieted, in either order, so only a is tested.
 func MulF32(a, b float32) float32 {
-	if a != a && b != b {
+	if a != a {
 		return quietF32(a)
 	}
 	return a * b
@@ -49,7 +49,7 @@ func MulF32(a, b float32) float32 {
 
 // AddF32 is a+b with MulF32's NaN rule.
 func AddF32(a, b float32) float32 {
-	if a != a && b != b {
+	if a != a {
 		return quietF32(a)
 	}
 	return a + b

@@ -6,9 +6,9 @@ import (
 )
 
 // TestMulAddF32NaNRule: when both operands are NaN, MulF32 and AddF32
-// return the first, quieted, whatever either one's sign and payload;
-// a lone NaN propagates quieted from either side; numbers give the
-// plain product and sum.
+// return the first, quieted, whatever either one's sign and payload; a
+// lone NaN propagates quieted from either side; numbers give the plain
+// product and sum.
 func TestMulAddF32NaNRule(t *testing.T) {
 	nan := func(bits uint32) float32 { return math.Float32frombits(bits) }
 	ops := []struct {
