@@ -29,7 +29,6 @@ package activity
 
 import (
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -241,10 +240,10 @@ func sigTab16(dt matrix.DType) *[1 << 16]uint8 {
 // storage): per-column significand sums, adjacent-element toggles
 // along rows, total Hamming weight, and the non-zero count.
 //
-// The scans accumulate in locals, which stay in registers where
-// struct fields would be stored per element, and count non-zeros
-// without a branch: (b | -b) has bit 31 set exactly when b ≠ 0. A
-// row's first element toggles against itself, adding nothing.
+// The scans accumulate in locals rather than in the result's fields,
+// and count non-zeros without a branch: (b | -b) has bit 31 set
+// exactly when b ≠ 0. A row's first element toggles against itself,
+// adding nothing.
 func ScanA(mt *matrix.Matrix) *OperandStats {
 	st := &OperandStats{Sig: make([]int64, mt.Cols)}
 	tab := sigTab16(mt.DType)
@@ -260,17 +259,17 @@ func ScanA(mt *matrix.Matrix) *OperandStats {
 		if tab != nil {
 			for kk, b := range row {
 				sig[kk] += int64(tab[b&0xFFFF])
-				hamming += int64(bits.OnesCount32(b & hmask))
+				hamming += int64(bitops.Popcount32(b & hmask))
 				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bits.OnesCount32(prev ^ b))
+				toggles += int64(bitops.Toggle32(prev, b))
 				prev = b
 			}
 		} else {
 			for kk, b := range row {
 				sig[kk] += int64(softfloat.SigPop32(b))
-				hamming += int64(bits.OnesCount32(b & hmask))
+				hamming += int64(bitops.Popcount32(b & hmask))
 				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bits.OnesCount32(prev ^ b))
+				toggles += int64(bitops.Toggle32(prev, b))
 				prev = b
 			}
 		}
@@ -301,16 +300,16 @@ func ScanB(mt *matrix.Matrix) *OperandStats {
 		if tab != nil {
 			for j, b := range row {
 				rowSig += int64(tab[b&0xFFFF])
-				hamming += int64(bits.OnesCount32(b & hmask))
+				hamming += int64(bitops.Popcount32(b & hmask))
 				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bits.OnesCount32(prevRow[j] ^ b))
+				toggles += int64(bitops.Toggle32(prevRow[j], b))
 			}
 		} else {
 			for j, b := range row {
 				rowSig += int64(softfloat.SigPop32(b))
-				hamming += int64(bits.OnesCount32(b & hmask))
+				hamming += int64(bitops.Popcount32(b & hmask))
 				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bits.OnesCount32(prevRow[j] ^ b))
+				toggles += int64(bitops.Toggle32(prevRow[j], b))
 			}
 		}
 		st.Sig[kk] = rowSig

@@ -640,7 +640,7 @@ func TestRunGroupedDTypesMatchSeparate(t *testing.T) {
 // TestRunRecyclesOperandStorage: once a Run has filled the pool, a
 // repeat Run takes its transformed clones and its base and prefix
 // matrices from it, and allocates less than one operand's storage per
-// job. Building each operand afresh costs two per job.
+// job. Cloning a job's A and B afresh would cost two.
 func TestRunRecyclesOperandStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")
