@@ -142,6 +142,9 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkGEMM",
 		"BenchmarkAnalyze256FP16",
 		"BenchmarkPredict",
+		"BenchmarkEngineTick",
+		"BenchmarkTransform/sparsify",
+		"BenchmarkScan/A",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {
