@@ -145,6 +145,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkEngineTick",
 		"BenchmarkTransform/sparsify",
 		"BenchmarkScan/A",
+		"BenchmarkGenerate/gaussian",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

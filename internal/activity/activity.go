@@ -238,51 +238,60 @@ func sigTab16(dt matrix.DType) *[1 << 16]uint8 {
 // OperandStats in row-stream orientation (the A operand's stream;
 // also the B operand's stream when B is carried as transposed
 // storage): per-column significand sums, adjacent-element toggles
-// along rows, total Hamming weight, and the non-zero count.
-//
-// The scans accumulate in locals rather than in the result's fields,
-// and count non-zeros without a branch: (b | -b) has bit 31 set
-// exactly when b ≠ 0. A row's first element toggles against itself,
-// adding nothing.
+// along rows, total Hamming weight, and the non-zero count. It is
+// AddRow over every row.
 func ScanA(mt *matrix.Matrix) *OperandStats {
 	st := &OperandStats{Sig: make([]int64, mt.Cols)}
-	tab := sigTab16(mt.DType)
-	hmask := bitops.LowMask(mt.DType.Width())
-	var hamming, nonZero, toggles int64
-	if mt.Cols == 0 {
-		return st
-	}
 	for i := 0; i < mt.Rows; i++ {
-		row := mt.Row(i)
-		sig := st.Sig[:len(row)]
-		prev := row[0]
-		if tab != nil {
-			for kk, b := range row {
-				sig[kk] += int64(tab[b&0xFFFF])
-				hamming += int64(bitops.Popcount32(b & hmask))
-				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bitops.Toggle32(prev, b))
-				prev = b
-			}
-		} else {
-			for kk, b := range row {
-				sig[kk] += int64(softfloat.SigPop32(b))
-				hamming += int64(bitops.Popcount32(b & hmask))
-				nonZero += int64((b | -b) >> 31)
-				toggles += int64(bitops.Toggle32(prev, b))
-				prev = b
-			}
+		st.AddRow(mt.DType, mt.Row(i))
+	}
+	return st
+}
+
+// AddRow adds one row of a datatype-dt matrix to row-stream stats: each
+// element's significand weight to its column's Sig, and the row's
+// Hamming weight, non-zero count and adjacent toggles to the totals.
+// Sig must hold at least len(row) columns.
+//
+// The loop accumulates in locals rather than in the fields, and counts
+// non-zeros without a branch: (b | -b) has bit 31 set exactly when
+// b ≠ 0. A row's first element toggles against itself, adding nothing.
+func (st *OperandStats) AddRow(dt matrix.DType, row []uint32) {
+	if len(row) == 0 {
+		return
+	}
+	tab := sigTab16(dt)
+	hmask := bitops.LowMask(dt.Width())
+	sig := st.Sig[:len(row)]
+	prev := row[0]
+	var hamming, nonZero, toggles int64
+	if tab != nil {
+		for kk, b := range row {
+			sig[kk] += int64(tab[b&0xFFFF])
+			hamming += int64(bitops.Popcount32(b & hmask))
+			nonZero += int64((b | -b) >> 31)
+			toggles += int64(bitops.Toggle32(prev, b))
+			prev = b
+		}
+	} else {
+		for kk, b := range row {
+			sig[kk] += int64(softfloat.SigPop32(b))
+			hamming += int64(bitops.Popcount32(b & hmask))
+			nonZero += int64((b | -b) >> 31)
+			toggles += int64(bitops.Toggle32(prev, b))
+			prev = b
 		}
 	}
-	st.Hamming, st.NonZero, st.Toggles = hamming, nonZero, toggles
-	return st
+	st.Hamming += hamming
+	st.NonZero += nonZero
+	st.Toggles += toggles
 }
 
 // ScanB streams a matrix row-major once and returns its full
 // OperandStats in column-stream orientation (the B operand's stream
 // for normal storage): per-row significand sums, adjacent-element
 // toggles down columns (computed row-pair-wise for locality), total
-// Hamming weight, and the non-zero count. It accumulates as ScanA
+// Hamming weight, and the non-zero count. It accumulates as AddRow
 // does; the first row toggles against itself.
 func ScanB(mt *matrix.Matrix) *OperandStats {
 	st := &OperandStats{Sig: make([]int64, mt.Rows)}

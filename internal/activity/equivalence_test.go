@@ -11,16 +11,17 @@ import (
 	"repro/internal/rng"
 )
 
-// Property tests pinning the incremental/fused fast paths to the full
+// Property tests pinning the incremental fast paths to the full
 // reference computations, byte-for-byte on every field:
 //
 //   - DeltaRowScan/DeltaColScan ≡ ScanA/ScanB after a tracked
 //     transform chain, across dtypes × chains × seeds.
-//   - EncodeScanGaussian / EncodeScanValues / GenerateGaussianFused ≡
-//     the unfused encode followed by ScanA, including the FP16
-//     conversion range tails (subnormal, overflow).
 //   - AnalyzeWithStats fed precomputed operand stats ≡ the full-rescan
 //     Analyze, on every Report field, for both storage orientations.
+//
+// Generation that adds rows to the stats as it encodes them
+// (OperandStats.AddRow) is held to BaseFill followed by ScanA by the
+// experiments package's FuzzGenerateMatchesBaseFill.
 //
 // The full-rescan path is not legacy: it stays the selectable
 // reference (AnalyzeWithStats with nil stats takes it), and these
@@ -116,90 +117,6 @@ func TestDeltaScanDenseFallback(t *testing.T) {
 	}
 	if ScanB(m).DeltaColScan(m, m, touched) != nil {
 		t.Error("DeltaColScan must decline dense touch sets")
-	}
-}
-
-// TestEncodeScanGaussianEquivalence: the fused encode+scan must write
-// the same bits and return the same stats as EncodeGaussianStream
-// followed by ScanA. The tiny and huge σ values push FP16 into its
-// subnormal and overflow conversion tails, so the hand-inlined
-// normal-range path's range check is exercised on both sides.
-func TestEncodeScanGaussianEquivalence(t *testing.T) {
-	const rows, cols = 24, 40
-	params := []struct{ mean, std float64 }{
-		{0, 210}, {500, 1}, {0, 25}, {0, 1e-7}, {0, 7e4}, {-3, 0},
-	}
-	for _, dt := range matrix.ExtendedDTypes {
-		for _, pr := range params {
-			for seed := uint64(1); seed <= 2; seed++ {
-				ctx := fmt.Sprintf("%v/mean=%g,std=%g/seed%d", dt, pr.mean, pr.std, seed)
-				raw := matrix.GaussianStream(rng.Derive(seed, "g"), rows*cols)
-
-				ref := matrix.New(dt, rows, cols)
-				matrix.EncodeGaussianStream(ref, raw, pr.mean, pr.std)
-
-				m := matrix.New(dt, rows, cols)
-				st := EncodeScanGaussian(m, raw, pr.mean, pr.std)
-				if !reflect.DeepEqual(m.Bits, ref.Bits) {
-					t.Fatalf("%s: fused encode bits diverge", ctx)
-				}
-				statsEqual(t, ctx, st, ScanA(ref))
-			}
-		}
-	}
-}
-
-// TestEncodeScanValuesEquivalence: same contract for the verbatim
-// (value-set) encode.
-func TestEncodeScanValuesEquivalence(t *testing.T) {
-	const rows, cols = 24, 40
-	for _, dt := range matrix.ExtendedDTypes {
-		for seed := uint64(1); seed <= 3; seed++ {
-			ctx := fmt.Sprintf("%v/seed%d", dt, seed)
-			raw := matrix.FromSetStream(rng.Derive(seed, "s"), 16, 0, 210, rows*cols)
-
-			ref := matrix.New(dt, rows, cols)
-			matrix.EncodeValues(ref, raw)
-
-			m := matrix.New(dt, rows, cols)
-			st := EncodeScanValues(m, raw)
-			if !reflect.DeepEqual(m.Bits, ref.Bits) {
-				t.Fatalf("%s: fused encode bits diverge", ctx)
-			}
-			statsEqual(t, ctx, st, ScanA(ref))
-		}
-	}
-}
-
-// TestGenerateGaussianFusedEquivalence: one fused multi-class
-// generation must equal the reference pipeline — one shared draw
-// stream, then per class an independent encode and rescan — in bits
-// and stats for every class.
-func TestGenerateGaussianFusedEquivalence(t *testing.T) {
-	const rows, cols = 32, 24
-	for seed := uint64(1); seed <= 3; seed++ {
-		targets := make([]GaussianTarget, 0, len(matrix.ExtendedDTypes))
-		for _, dt := range matrix.ExtendedDTypes {
-			std := 210.0
-			if dt == matrix.INT8 {
-				std = 25
-			}
-			targets = append(targets, GaussianTarget{
-				M: matrix.New(dt, rows, cols), Mean: 0, Std: std,
-			})
-		}
-		GenerateGaussianFused(rng.Derive(seed, "multi"), targets)
-
-		raw := matrix.GaussianStream(rng.Derive(seed, "multi"), rows*cols)
-		for _, tg := range targets {
-			ctx := fmt.Sprintf("%v/seed%d", tg.M.DType, seed)
-			ref := matrix.New(tg.M.DType, rows, cols)
-			matrix.EncodeGaussianStream(ref, raw, tg.Mean, tg.Std)
-			if !reflect.DeepEqual(tg.M.Bits, ref.Bits) {
-				t.Fatalf("%s: fused generation bits diverge", ctx)
-			}
-			statsEqual(t, ctx, tg.Stats, ScanA(ref))
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/activity"
@@ -12,22 +13,25 @@ import (
 // Base-matrix caching: within one Run, every point of an experiment
 // shares the generation stage of its input pattern (e.g. all sparsity
 // fractions of fig6a start from the same Gaussian draw), so the base
-// matrix is generated once per (datatype, operand side, seed, base
-// pattern) and each point's transform chain runs on a clone. Besides
-// removing the dominant per-job cost (Gaussian generation), this
-// matches the paper's methodology more closely: §IV applies its sort /
-// sparsify / bit transforms to the same underlying matrices, not to
-// fresh draws per sweep coordinate.
+// matrix is generated once per (encoding class, operand side, seed,
+// base pattern) and each point's transform chain runs on a clone.
+// Besides removing the dominant per-job cost (Gaussian generation),
+// this matches the paper's methodology more closely: §IV applies its
+// sort / sparsify / bit transforms to the same underlying matrices,
+// not to fresh draws per sweep coordinate.
 //
 // Three further layers ride on the same refcounts:
 //
-//   - Raw draw streams. Patterns that split generation into a
-//     datatype-independent draw plus a per-datatype encode
-//     (Pattern.DrawStream/EncodeStream) share one draw per (side,
-//     seed, base name) across every encoding class — the classes'
-//     matrices are different roundings of the same variates.
-//   - Operand statistics. Each base entry lazily memoizes its
-//     activity.OperandStats per stream orientation, so transform
+//   - One pass for every encoding class. A pattern whose generation
+//     splits into a datatype-independent draw and a per-datatype
+//     encode (Pattern.Rows: the Gaussian and value-set patterns)
+//     builds the bases of all classes of a (side, seed, base name) in
+//     one pass (generateClasses): each row is drawn once, and every
+//     class encodes it and adds it to its row-stream statistics. The
+//     classes' matrices are different roundings of the same values.
+//   - Operand statistics. Each base entry memoizes its
+//     activity.OperandStats per stream orientation (the row stream
+//     comes from the generation pass when there is one), so transform
 //     variants patch the base's stats incrementally (or reuse them
 //     outright when there is no transform) instead of rescanning the
 //     operand per job.
@@ -133,43 +137,31 @@ func (e *baseEntry) stats(colOrient bool) *activity.OperandStats {
 	return e.row()
 }
 
-// streamKey identifies one cached raw draw stream. No encoding class:
-// the stream is datatype-independent by construction.
-type streamKey struct {
+// groupKey identifies one multi-class generation. No encoding class:
+// every class of a (side, seed, base name) comes from the same draws.
+type groupKey struct {
 	side string
 	seed int
 	name string
 }
 
-type streamEntry struct {
-	once      sync.Once
-	raw       []float64
-	remaining int
-}
-
-// groupEntry is one fused multi-class generation: all encoding classes
-// of a (side, seed, base name) generated in a single row-chunked pass
-// (activity.GenerateGaussianFused), with each class's row-stream stats
-// extracted alongside. Compared to caching the raw draw stream it
-// avoids materializing and re-reading the 8-byte-per-element variate
-// buffer once per class — the draw row stays in L1 while every class
-// encodes from it.
+// groupEntry is one multi-class generation (generateClasses): each
+// encoding class's base matrix and row-stream stats, in the order of
+// the runner's class list for the base name.
 type groupEntry struct {
 	once      sync.Once
-	ms        map[matrix.DType]*matrix.Matrix
-	sts       map[matrix.DType]*activity.OperandStats
+	ms        []*matrix.Matrix
+	sts       []*activity.OperandStats
 	remaining int
 }
 
 // baseCache is a per-Run refcounted cache. Entries are evicted as soon
 // as every point that shares them has consumed its use, which bounds
-// resident base matrices (and raw streams) to the configurations
-// currently in flight.
+// resident base matrices to the configurations currently in flight.
 type baseCache struct {
 	mu      sync.Mutex
 	entries map[baseKey]*baseEntry
-	streams map[streamKey]*streamEntry
-	groups  map[streamKey]*groupEntry
+	groups  map[groupKey]*groupEntry
 	made    []*matrix.Matrix // every base and prefix matrix, for release
 }
 
@@ -196,8 +188,7 @@ func (c *baseCache) release() {
 func newBaseCache() *baseCache {
 	return &baseCache{
 		entries: map[baseKey]*baseEntry{},
-		streams: map[streamKey]*streamEntry{},
-		groups:  map[streamKey]*groupEntry{},
+		groups:  map[groupKey]*groupEntry{},
 	}
 }
 
@@ -206,8 +197,8 @@ func newBaseCache() *baseCache {
 // requested during the Run; after the last use the entry leaves the
 // map (the returned entry stays valid for the caller). The entry's
 // matrix is shared — callers must treat it as read-only. gen receives
-// the entry so fused generation paths can seed its memoized stats
-// (under the entry's own rowOnce/colOnce).
+// the entry so the multi-class generation can seed its memoized row
+// stats (under the entry's own rowOnce).
 func (c *baseCache) get(key baseKey, uses int, gen func(e *baseEntry) *matrix.Matrix) *baseEntry {
 	c.mu.Lock()
 	e := c.entries[key]
@@ -226,33 +217,11 @@ func (c *baseCache) get(key baseKey, uses int, gen func(e *baseEntry) *matrix.Ma
 	return e
 }
 
-// stream returns the raw draw stream for key, drawing it on first use
-// via draw. uses is the number of encoding classes that will request
-// it. The returned slice is shared and read-only.
-func (c *baseCache) stream(key streamKey, uses int, draw func() []float64) []float64 {
-	c.mu.Lock()
-	e := c.streams[key]
-	if e == nil {
-		e = &streamEntry{remaining: uses}
-		c.streams[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.raw = draw() })
-	raw := e.raw
-	c.mu.Lock()
-	e.remaining--
-	if e.remaining <= 0 {
-		delete(c.streams, key)
-	}
-	c.mu.Unlock()
-	return raw
-}
-
-// group returns the fused multi-class generation for key, running gen
-// on first use. uses is the number of encoding classes that will
-// request it; the returned entry's maps stay valid for the caller
-// after eviction and are shared read-only.
-func (c *baseCache) group(key streamKey, uses int, gen func(g *groupEntry)) *groupEntry {
+// group returns the multi-class generation for key, running gen on
+// first use. uses is the number of encoding classes that will request
+// it; the returned entry stays valid for the caller after eviction and
+// is shared read-only.
+func (c *baseCache) group(key groupKey, uses int, gen func(g *groupEntry)) *groupEntry {
 	c.mu.Lock()
 	g := c.groups[key]
 	if g == nil {
@@ -310,64 +279,24 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 	baseAt := baseKey{class: encClass(dt), side: side, seed: seed, stageName: stageName{base: pat.BaseName}}
 	genBase := func(e *baseEntry) *matrix.Matrix {
 		src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
-		if pat.DrawStream != nil && pat.EncodeStream != nil {
-			// Affine encodes (the Gaussian patterns) generate every
-			// encoding class of this (side, seed, base) in one fused
-			// row-chunked pass: the draw row stays cache-hot while
-			// each class encodes it and extracts its row-stream
-			// stats — no raw-stream buffer, one memory pass total.
-			if classes := r.streamClasses[pat.BaseName]; pat.EncodeAffine != nil && len(classes) > 0 {
-				g := cache.group(streamKey{side: side, seed: seed, name: pat.BaseName},
-					r.streamUses[pat.BaseName], func(g *groupEntry) {
-						targets := make([]activity.GaussianTarget, len(classes))
-						for i, cl := range classes {
-							mean, std := pat.EncodeAffine(cl)
-							targets[i] = activity.GaussianTarget{
-								M: cache.newMatrix(cl, size), Mean: mean, Std: std,
-							}
-						}
-						activity.GenerateGaussianFused(src, targets)
-						g.ms = make(map[matrix.DType]*matrix.Matrix, len(targets))
-						g.sts = make(map[matrix.DType]*activity.OperandStats, len(targets))
-						for i, cl := range classes {
-							g.ms[cl] = targets[i].M
-							g.sts[cl] = targets[i].Stats
-						}
-					})
-				cl := encClass(dt)
-				e.rowOnce.Do(func() { e.rowStats = g.sts[cl] })
-				return g.ms[cl]
-			}
+		if pat.Rows == nil {
 			m := cache.newMatrix(dt, size)
-			raw := cache.stream(streamKey{side: side, seed: seed, name: pat.BaseName},
-				r.streamUses[pat.BaseName], func() []float64 {
-					return pat.DrawStream(src, size*size)
-				})
-			// When the base's row-stream stats will plausibly be
-			// consumed (no prefix, and no transform or an
-			// incrementally tracked one), fuse their extraction
-			// into the encode pass — same bits, same stats, one
-			// memory pass.
-			fuse := pat.Prep == nil && (pat.Transform == nil || pat.DeltaTransform != nil)
-			switch {
-			case fuse && pat.EncodeAffine != nil:
-				mean, std := pat.EncodeAffine(m.DType)
-				e.rowOnce.Do(func() {
-					e.rowStats = activity.EncodeScanGaussian(m, raw, mean, std)
-				})
-			case fuse && pat.EncodeVerbatim:
-				e.rowOnce.Do(func() {
-					e.rowStats = activity.EncodeScanValues(m, raw)
-				})
-			default:
-				pat.EncodeStream(m, raw)
-			}
+			clear(m.Bits) // BaseFill may count on matrix.New's zeroed words
+			pat.BaseFill(m, src)
 			return m
 		}
-		m := cache.newMatrix(dt, size)
-		clear(m.Bits) // BaseFill may count on matrix.New's zeroed words
-		pat.BaseFill(m, src)
-		return m
+		classes := r.classes[pat.BaseName]
+		g := cache.group(groupKey{side: side, seed: seed, name: pat.BaseName}, len(classes),
+			func(g *groupEntry) {
+				g.ms = make([]*matrix.Matrix, len(classes))
+				for i, cl := range classes {
+					g.ms[i] = cache.newMatrix(cl, size)
+				}
+				g.sts = generateClasses(pat, src, g.ms)
+			})
+		i := slices.Index(classes, encClass(dt))
+		e.rowOnce.Do(func() { e.rowStats = g.sts[i] })
+		return g.ms[i]
 	}
 	var e *baseEntry
 	if pat.Prep == nil {
@@ -407,4 +336,29 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 		return m, st.DeltaColScan(base, m, touched), true
 	}
 	return m, st.DeltaRowScan(base, m, touched), true
+}
+
+// generateClasses runs pat's generation stage once for several
+// encoding classes, one matrix each in ms, all of one shape: it draws
+// every row once (pat.Rows), and each class encodes the row into its
+// matrix and adds it to its row-stream statistics. Each matrix equals
+// pat.BaseFill on src, and each statistics activity.ScanA of it; they
+// come back in the order of ms.
+func generateClasses(pat patterns.Pattern, src *rng.Source, ms []*matrix.Matrix) []*activity.OperandStats {
+	next, encode := pat.Rows(src)
+	rows, cols := ms[0].Rows, ms[0].Cols
+	sts := make([]*activity.OperandStats, len(ms))
+	for c := range sts {
+		sts[c] = &activity.OperandStats{Sig: make([]int64, cols)}
+	}
+	raw := make([]float64, cols)
+	for i := 0; i < rows; i++ {
+		next(raw)
+		for c, m := range ms {
+			row := m.Row(i)
+			encode(row, raw, m.DType)
+			sts[c].AddRow(m.DType, row)
+		}
+	}
+	return sts
 }

@@ -10,7 +10,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/activity"
@@ -181,11 +181,9 @@ type runner struct {
 	cache *baseCache
 	// uses holds each encoding class's refcounts per (side, seed).
 	uses map[matrix.DType]map[stageName]int
-	// streamUses counts the encoding classes that generate each base
-	// name; streamClasses lists them, ordered, for the fused
-	// multi-class generation.
-	streamUses    map[string]int
-	streamClasses map[string][]matrix.DType
+	// classes lists, per base name, the encoding classes that generate
+	// it, ordered: the multi-class generation builds all of them.
+	classes map[string][]matrix.DType
 
 	outs []runOutcome
 	errs []error
@@ -340,14 +338,13 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	// and one run of each RNG-free prefix per (seed, side). Each job
 	// counts one use per (side, seed) in its encoding class.
 	r := &runner{
-		cfg:           cfg,
-		exp:           exp,
-		cache:         newBaseCache(),
-		uses:          map[matrix.DType]map[stageName]int{},
-		streamUses:    map[string]int{},
-		streamClasses: map[string][]matrix.DType{},
-		outs:          make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
-		errs:          make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
+		cfg:     cfg,
+		exp:     exp,
+		cache:   newBaseCache(),
+		uses:    map[matrix.DType]map[stageName]int{},
+		classes: map[string][]matrix.DType{},
+		outs:    make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
+		errs:    make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 	}
 	groups := make([][][]int, len(exp.Points))
 	for pi, pt := range exp.Points {
@@ -363,7 +360,7 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 	}
 	// Jobs go out datatype-major: workers then build different points'
 	// bases side by side, where point-major order would have one wait
-	// on the other's fused generation of the same base.
+	// on the other's multi-class generation of the same base.
 	type job struct {
 		pi, seed int
 		dis      []int
@@ -381,21 +378,19 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 			}
 		}
 	}
-	// Raw draw streams are shared across encoding classes: each class
-	// that generates a given base name consumes the stream once. The
-	// class list per base name drives the fused multi-class generation
-	// (one pass draws and encodes every class); classes are ordered for
-	// a deterministic generation layout.
+	// A pattern with Rows generates its base for every encoding class
+	// that uses the base name in one pass, which each of those classes
+	// requests once. The classes are ordered for a deterministic
+	// generation layout.
 	for cl, classUses := range r.uses {
 		for st := range classUses {
 			if st.prep == "" {
-				r.streamUses[st.base]++
-				r.streamClasses[st.base] = append(r.streamClasses[st.base], cl)
+				r.classes[st.base] = append(r.classes[st.base], cl)
 			}
 		}
 	}
-	for _, classes := range r.streamClasses {
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	for _, classes := range r.classes {
+		slices.Sort(classes)
 	}
 
 	fanOut(len(jobs), cfg.Workers, func(idx int) {

@@ -604,11 +604,13 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 }
 
 // TestRunGroupedDTypesMatchSeparate: a job serves every datatype of a
-// group (FP16 and FP16-T share operands and rescans), so each
-// datatype's series from a four-datatype Run must equal a Run of that
-// datatype alone, which builds its operands by itself.
+// group (FP16 and FP16-T share operands and rescans), and one
+// generation pass serves every encoding class of a base (FP32 and FP16
+// share fig3c's value-set draws), so each datatype's series from a
+// four-datatype Run must equal a Run of that datatype alone, which
+// builds its operands by itself.
 func TestRunGroupedDTypesMatchSeparate(t *testing.T) {
-	for _, exp := range []Experiment{Fig4aBitFlips(), Fig6aSparsity()} {
+	for _, exp := range []Experiment{Fig3cValueSet(), Fig4aBitFlips(), Fig6aSparsity()} {
 		t.Run(exp.ID, func(t *testing.T) {
 			cfg := Config{
 				Device:        device.A100PCIe(),
@@ -640,12 +642,14 @@ func TestRunGroupedDTypesMatchSeparate(t *testing.T) {
 // TestRunRecyclesOperandStorage: once a Run has filled the pool, a
 // repeat Run takes its transformed clones and its base and prefix
 // matrices from it, and allocates less than one operand's storage per
-// job. Cloning a job's A and B afresh would cost two.
+// job. Cloning a job's A and B afresh would cost two, and so would
+// drawing a base's values into a buffer of their own (fig3c's value
+// sets).
 func TestRunRecyclesOperandStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")
 	}
-	for _, exp := range []Experiment{Fig4aBitFlips(), Fig6aSparsity()} {
+	for _, exp := range []Experiment{Fig3cValueSet(), Fig4aBitFlips(), Fig6aSparsity()} {
 		t.Run(exp.ID, func(t *testing.T) {
 			cfg := Config{
 				Device:        device.A100PCIe(),

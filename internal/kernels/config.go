@@ -16,7 +16,6 @@ package kernels
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/matrix"
 )
@@ -25,7 +24,7 @@ import (
 const (
 	// VariantPortable is the pure-Go 4-wide lane kernel built on
 	// every architecture (and forced by the portable_kernels build
-	// tag or REPRO_PORTABLE_KERNELS=1).
+	// tag).
 	VariantPortable = "portable"
 	// VariantWide is the amd64 4×2 register-tile micro-kernel.
 	VariantWide = "wide"
@@ -36,11 +35,10 @@ var activeVariant = probeKernelVariant()
 // probeKernelVariant selects the widest lane kernel this build and
 // architecture support. The wide variant only exists when the
 // arch-gated file is compiled in (amd64 without the portable_kernels
-// tag); REPRO_PORTABLE_KERNELS=1 forces the portable fallback at
-// runtime regardless. Every variant computes bit-identical results —
-// the probe only picks how the register tiling is shaped.
+// tag). Every variant computes bit-identical results — the probe only
+// picks how the register tiling is shaped.
 func probeKernelVariant() string {
-	if !wideKernelsAvailable || os.Getenv("REPRO_PORTABLE_KERNELS") == "1" {
+	if !wideKernelsAvailable {
 		return VariantPortable
 	}
 	installWideKernels()

@@ -11,8 +11,8 @@ package kernels
 // bit-identical to the portable lane kernel and to the original
 // one-row loops.
 //
-// Build with -tags portable_kernels (or set REPRO_PORTABLE_KERNELS=1)
-// to force the portable fallback instead.
+// Build with -tags portable_kernels to force the portable fallback
+// instead.
 
 const wideKernelsAvailable = true
 

@@ -42,68 +42,42 @@ func FillGaussian(m *Matrix, src *rng.Source, mean, std float64) {
 	}
 }
 
-// GaussianStream draws n standard Gaussian variates — the
-// datatype-independent stream FillGaussian consumes (exactly one draw
-// per element for every dtype). Runners draw the stream once per
-// (side, seed) and encode it per datatype with EncodeGaussianStream,
-// cutting generation cost across datatype sweeps without changing a
-// single output bit.
-func GaussianStream(src *rng.Source, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = src.NormFloat64()
-	}
-	return out
-}
-
-// EncodeGaussianStream writes mean + std·raw[i] into m with the
-// datatype's round-to-nearest encode — bit-identical to
-// FillGaussian(m, src, mean, std) over the same underlying variates
-// (Gaussian(mean, std) is exactly mean + std·NormFloat64()).
-func EncodeGaussianStream(m *Matrix, raw []float64, mean, std float64) {
-	raw = raw[:len(m.Bits)]
-	switch m.DType {
+// EncodeGaussianStream writes mean + std·raw[j] into dst in datatype
+// dt with its round-to-nearest encode. Given a row's standard Gaussian
+// variates it writes that row of FillGaussian(m, src, mean, std)
+// bit for bit (Gaussian(mean, std) is exactly mean + std·NormFloat64()).
+func EncodeGaussianStream(dst []uint32, raw []float64, dt DType, mean, std float64) {
+	raw = raw[:len(dst)]
+	switch dt {
 	case FP32:
-		for i, r := range raw {
-			m.Bits[i] = math.Float32bits(float32(mean + std*r))
+		for j, r := range raw {
+			dst[j] = math.Float32bits(float32(mean + std*r))
 		}
 	case FP16, FP16T:
-		for i, r := range raw {
-			m.Bits[i] = uint32(softfloat.F32ToF16(float32(mean + std*r)))
+		for j, r := range raw {
+			dst[j] = uint32(softfloat.F32ToF16(float32(mean + std*r)))
 		}
 	case BF16T:
-		for i, r := range raw {
-			m.Bits[i] = uint32(softfloat.F32ToBF16(float32(mean + std*r)))
+		for j, r := range raw {
+			dst[j] = uint32(softfloat.F32ToBF16(float32(mean + std*r)))
 		}
 	case INT8:
-		for i, r := range raw {
-			m.Bits[i] = uint32(uint8(softfloat.F32ToI8(float32(mean + std*r))))
+		for j, r := range raw {
+			dst[j] = uint32(uint8(softfloat.F32ToI8(float32(mean + std*r))))
 		}
 	default:
-		for i, r := range raw {
-			m.Bits[i] = m.DType.Encode(mean + std*r)
+		for j, r := range raw {
+			dst[j] = dt.Encode(mean + std*r)
 		}
 	}
 }
 
-// FromSetStream draws the value stream FillFromSet over a GaussianSet
-// would select: the set draws followed by one uniform selection per
-// element. Encoding the returned values (EncodeValues) is bit-identical
-// to GaussianSet + FillFromSet over the same stream.
-func FromSetStream(src *rng.Source, setN int, mean, std float64, n int) []float64 {
-	set := GaussianSet(src, setN, mean, std)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = set[src.Intn(len(set))]
-	}
-	return out
-}
-
-// EncodeValues writes raw values into m with the datatype's encode.
-func EncodeValues(m *Matrix, raw []float64) {
-	raw = raw[:len(m.Bits)]
-	for i, r := range raw {
-		m.Bits[i] = m.DType.Encode(r)
+// EncodeValues writes raw values into dst with datatype dt's encode.
+// Given the values a row of FillFromSet selects, it writes that row.
+func EncodeValues(dst []uint32, raw []float64, dt DType) {
+	raw = raw[:len(dst)]
+	for j, r := range raw {
+		dst[j] = dt.Encode(r)
 	}
 }
 

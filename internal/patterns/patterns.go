@@ -56,23 +56,15 @@ type Pattern struct {
 	// after a random step) have a nil DeltaTransform.
 	DeltaTransform func(m *matrix.Matrix, src *rng.Source) (touched []int32, ok bool)
 
-	// DrawStream and EncodeStream, when non-nil, split the generation
-	// stage into a datatype-independent raw draw and a per-datatype
-	// encode: EncodeStream(m, DrawStream(src, len(m.Bits))) is
-	// bit-identical to BaseFill(m, src). Runners cache the raw stream
-	// per (side, seed) and share it across datatypes, whose generated
-	// matrices differ only in encoding.
-	DrawStream   func(src *rng.Source, n int) []float64
-	EncodeStream func(m *matrix.Matrix, raw []float64)
-
-	// EncodeAffine, when non-nil, declares that EncodeStream encodes the
-	// affine value map mean + std·raw[i] for the given datatype (the
-	// Gaussian patterns' encode). Runners may use it to fuse the encode
-	// with other per-element passes; EncodeStream stays the reference.
-	EncodeAffine func(dt matrix.DType) (mean, std float64)
-	// EncodeVerbatim declares that EncodeStream encodes raw values
-	// as-is (matrix.EncodeValues) with no value map.
-	EncodeVerbatim bool
+	// Rows, when non-nil, splits the generation stage into a
+	// datatype-independent draw and a per-datatype encode, one row at
+	// a time. Rows(src) returns next, which draws the next row's raw
+	// values, and encode, which writes a row of raw values in datatype
+	// dt. Filling a matrix row by row with next and then encode is
+	// bit-identical to BaseFill on the same stream, so a runner can
+	// draw each row once for every datatype: their generated matrices
+	// differ only in rounding.
+	Rows func(src *rng.Source) (next func(raw []float64), encode func(dst []uint32, raw []float64, dt matrix.DType))
 }
 
 // Apply fills the matrix.
@@ -166,30 +158,34 @@ func (p Pattern) thenTracked(name string, f func(m *matrix.Matrix, src *rng.Sour
 
 // Gaussian fills with Gaussian variates (§IV-A).
 func Gaussian(mean, std float64) Pattern {
-	p := generator(fmt.Sprintf("gaussian(mean=%g,std=%g)", mean, std),
-		func(m *matrix.Matrix, src *rng.Source) {
-			matrix.FillGaussian(m, src, mean, std)
-		})
-	p.DrawStream = matrix.GaussianStream
-	p.EncodeStream = func(m *matrix.Matrix, raw []float64) {
-		matrix.EncodeGaussianStream(m, raw, mean, std)
-	}
-	p.EncodeAffine = func(matrix.DType) (float64, float64) { return mean, std }
-	return p
+	return gaussian(fmt.Sprintf("gaussian(mean=%g,std=%g)", mean, std), mean,
+		func(matrix.DType) float64 { return std })
 }
 
 // GaussianDefault fills with the paper's default distribution for the
 // matrix's datatype: mean 0, σ = 210 for FP, σ = 25 for INT8.
 func GaussianDefault() Pattern {
-	p := generator("gaussian(default)",
-		func(m *matrix.Matrix, src *rng.Source) {
-			matrix.FillGaussian(m, src, 0, matrix.DefaultStd(m.DType))
-		})
-	p.DrawStream = matrix.GaussianStream
-	p.EncodeStream = func(m *matrix.Matrix, raw []float64) {
-		matrix.EncodeGaussianStream(m, raw, 0, matrix.DefaultStd(m.DType))
+	return gaussian("gaussian(default)", 0, matrix.DefaultStd)
+}
+
+// gaussian builds a Gaussian generator whose σ may depend on the
+// datatype. Its rows draw standard variates, which each datatype maps
+// to mean + σ·raw.
+func gaussian(name string, mean float64, std func(matrix.DType) float64) Pattern {
+	p := generator(name, func(m *matrix.Matrix, src *rng.Source) {
+		matrix.FillGaussian(m, src, mean, std(m.DType))
+	})
+	p.Rows = func(src *rng.Source) (func([]float64), func([]uint32, []float64, matrix.DType)) {
+		next := func(raw []float64) {
+			for j := range raw {
+				raw[j] = src.NormFloat64()
+			}
+		}
+		encode := func(dst []uint32, raw []float64, dt matrix.DType) {
+			matrix.EncodeGaussianStream(dst, raw, dt, mean, std(dt))
+		}
+		return next, encode
 	}
-	p.EncodeAffine = func(dt matrix.DType) (float64, float64) { return 0, matrix.DefaultStd(dt) }
 	return p
 }
 
@@ -203,11 +199,15 @@ func FromSet(n int, mean, std float64) Pattern {
 			set := matrix.GaussianSet(src, n, mean, std)
 			matrix.FillFromSet(m, src, set)
 		})
-	p.DrawStream = func(src *rng.Source, sz int) []float64 {
-		return matrix.FromSetStream(src, n, mean, std, sz)
+	p.Rows = func(src *rng.Source) (func([]float64), func([]uint32, []float64, matrix.DType)) {
+		set := matrix.GaussianSet(src, n, mean, std)
+		next := func(raw []float64) {
+			for j := range raw {
+				raw[j] = set[src.Intn(len(set))]
+			}
+		}
+		return next, matrix.EncodeValues
 	}
-	p.EncodeStream = matrix.EncodeValues
-	p.EncodeVerbatim = true
 	return p
 }
 

@@ -77,15 +77,15 @@ func TestGeneratorHasNoTransform(t *testing.T) {
 }
 
 // TestParsedPatternsCarrySplit checks that DSL pipelines, and patterns
-// composed through Then and thenTracked, carry the base and prefix
-// fields through every later step.
+// composed through Then and thenTracked, carry the base, row-split and
+// prefix fields through every later step.
 func TestParsedPatternsCarrySplit(t *testing.T) {
 	p, err := Parse("gaussian(default) | sort(rows, 50%) | zeromsb(2) | sparsify(30%)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.BaseName != "gaussian(default)" || p.PrepName != "sort(rows,50%)|zeromsb(2)" ||
-		p.Prep == nil || p.Transform == nil || p.DeltaTransform == nil {
+		p.Rows == nil || p.Prep == nil || p.Transform == nil || p.DeltaTransform == nil {
 		t.Errorf("parsed pipeline split missing: base %q, prep %q", p.BaseName, p.PrepName)
 	}
 	q := GaussianDefault().ZeroLSBs(2).Then("custom", func(*matrix.Matrix, *rng.Source) {})
