@@ -444,14 +444,14 @@ func sampleWalk(p *kernels.Problem, cfg Config, r *Report) {
 		s0 := order[i]
 		j0 := positions[s0][1]
 		b0 := gather(buf0, j0)
-		if i+1 == len(order) {
-			results[s0] = walkLane(p.DType, p.A.Row(positions[s0][0]), b0, width)
-			return
-		}
-		s1 := order[i+1]
-		b1 := b0
-		if j1 := positions[s1][1]; j1 != j0 {
-			b1 = gather(buf1, j1)
+		// An odd last sample walks paired with itself: the lanes are
+		// independent, so both results are that sample's.
+		s1, b1 := s0, b0
+		if i+1 < len(order) {
+			s1 = order[i+1]
+			if j1 := positions[s1][1]; j1 != j0 {
+				b1 = gather(buf1, j1)
+			}
 		}
 		results[s0], results[s1] = walkLane2(p.DType,
 			p.A.Row(positions[s0][0]), b0, p.A.Row(positions[s1][0]), b1, width)
@@ -519,97 +519,13 @@ func laneAlign(k, width int, pc int64) float64 {
 	return float64(int64(k)*int64(width)-pc) / float64(width)
 }
 
-// walkLane runs one output lane's exact arithmetic and counts register
-// toggles plus operand alignment.
-func walkLane(dt matrix.DType, aRow, bCol []uint32, width int) laneResult {
-	k := len(aRow)
-	var prodTog, accTog, alignPC int64
-	amask := bitops.LowMask(width)
-	switch dt {
-	case matrix.FP32:
-		var acc float32
-		var prevProd, prevAcc uint32
-		for kk := 0; kk < k; kk++ {
-			a := softfloat.F32FromBits(aRow[kk])
-			b := softfloat.F32FromBits(bCol[kk])
-			prod := softfloat.MulF32(a, b)
-			pb := math.Float32bits(prod)
-			prodTog += int64(bitops.Toggle32(prevProd, pb))
-			prevProd = pb
-			acc = softfloat.AddF32(acc, prod)
-			ab := math.Float32bits(acc)
-			accTog += int64(bitops.Toggle32(prevAcc, ab))
-			prevAcc = ab
-			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
-		}
-	case matrix.FP16:
-		var acc uint16
-		var prevProd, prevAcc uint16
-		for kk := 0; kk < k; kk++ {
-			// Mul16 and Add16 under MulF32's NaN rule, written out:
-			// the rule would push them past the inliner's budget.
-			prod := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(aRow[kk])), softfloat.F16ToF32(uint16(bCol[kk]))))
-			prodTog += int64(bitops.Toggle16(prevProd, prod))
-			prevProd = prod
-			acc = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc), softfloat.F16ToF32(prod)))
-			accTog += int64(bitops.Toggle16(prevAcc, acc))
-			prevAcc = acc
-			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
-		}
-	case matrix.FP16T:
-		var acc float32
-		var prevProd, prevAcc uint32
-		for kk := 0; kk < k; kk++ {
-			prod := softfloat.MulF32(softfloat.F16ToF32(uint16(aRow[kk])), softfloat.F16ToF32(uint16(bCol[kk])))
-			pb := math.Float32bits(prod)
-			prodTog += int64(bitops.Toggle32(prevProd, pb))
-			prevProd = pb
-			acc = softfloat.AddF32(acc, prod)
-			ab := math.Float32bits(acc)
-			accTog += int64(bitops.Toggle32(prevAcc, ab))
-			prevAcc = ab
-			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
-		}
-	case matrix.BF16T:
-		var acc float32
-		var prevProd, prevAcc uint32
-		for kk := 0; kk < k; kk++ {
-			prod := softfloat.MulF32(softfloat.BF16ToF32(uint16(aRow[kk])), softfloat.BF16ToF32(uint16(bCol[kk])))
-			pb := math.Float32bits(prod)
-			prodTog += int64(bitops.Toggle32(prevProd, pb))
-			prevProd = pb
-			acc = softfloat.AddF32(acc, prod)
-			ab := math.Float32bits(acc)
-			accTog += int64(bitops.Toggle32(prevAcc, ab))
-			prevAcc = ab
-			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
-		}
-	case matrix.INT8:
-		var acc int32
-		var prevProd, prevAcc uint32
-		for kk := 0; kk < k; kk++ {
-			prod := int32(int8(uint8(aRow[kk]))) * int32(int8(uint8(bCol[kk])))
-			pb := uint32(prod)
-			prodTog += int64(bitops.Toggle32(prevProd, pb))
-			prevProd = pb
-			acc += prod
-			ab := uint32(acc)
-			accTog += int64(bitops.Toggle32(prevAcc, ab))
-			prevAcc = ab
-			alignPC += int64(bitops.Popcount32((aRow[kk] ^ bCol[kk]) & amask))
-		}
-	default:
-		panic("activity: unknown dtype")
-	}
-	return laneResult{prodTog: prodTog, accTog: accTog, alignSum: laneAlign(k, width, alignPC)}
-}
-
-// walkLane2 walks two output lanes in one interleaved pass. Each
-// lane's product/accumulator trajectory is the exact sequence walkLane
-// would produce — the chains are independent — so the two results are
-// bit-identical to separate walks, but the interleaving overlaps the
+// walkLane2 walks two output lanes in one interleaved pass, running
+// each lane's exact per-dtype arithmetic along k and counting its
+// register toggles plus operand alignment. The lanes' product and
+// accumulator chains are independent, so each result is bit-identical
+// to a walk of that lane alone, while the interleaving overlaps the
 // serial accumulator latency of one lane with the other's. The lanes
-// may consume the same or different B columns.
+// may consume the same or different B columns, or be the same lane.
 func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) (laneResult, laneResult) {
 	k := len(bCol0)
 	var prodTog0, accTog0, alignPC0 int64
@@ -643,7 +559,8 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			// Mul16 and Add16 written out, as in walkLane.
+			// Mul16 and Add16 under MulF32's NaN rule, written out:
+			// the rule would push them past the inliner's budget.
 			prod0 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a0)), softfloat.F16ToF32(uint16(bb0))))
 			prod1 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a1)), softfloat.F16ToF32(uint16(bb1))))
 			prodTog0 += int64(bitops.Toggle16(prevProd0, prod0))

@@ -1,6 +1,7 @@
 package activity
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -322,32 +323,118 @@ func TestHammingWeightsReported(t *testing.T) {
 	}
 }
 
+// walkWant restates one sampled lane's per-step arithmetic under the
+// softfloat.MulF32/AddF32 NaN rule: the product and accumulator
+// register toggles and the alignment sum Σ(1 − popcount(a⊕b)/width).
+func walkWant(dt matrix.DType, aRow, bCol []uint32) (prodTog, accTog int64, align float64) {
+	width := dt.Width()
+	mask := bitops.LowMask(width)
+	var acc32 float32
+	var acc16 uint16
+	var accI int32
+	var prevProd, prevAcc uint32
+	for kk, a := range aRow {
+		b := bCol[kk]
+		var pb, ab uint32
+		switch dt {
+		case matrix.FP32:
+			prod := softfloat.MulF32(softfloat.F32FromBits(a), softfloat.F32FromBits(b))
+			acc32 = softfloat.AddF32(acc32, prod)
+			pb, ab = math.Float32bits(prod), math.Float32bits(acc32)
+		case matrix.FP16:
+			prod := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a)), softfloat.F16ToF32(uint16(b))))
+			acc16 = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc16), softfloat.F16ToF32(prod)))
+			pb, ab = uint32(prod), uint32(acc16)
+		case matrix.FP16T, matrix.BF16T:
+			dec := softfloat.F16ToF32
+			if dt == matrix.BF16T {
+				dec = softfloat.BF16ToF32
+			}
+			prod := softfloat.MulF32(dec(uint16(a)), dec(uint16(b)))
+			acc32 = softfloat.AddF32(acc32, prod)
+			pb, ab = math.Float32bits(prod), math.Float32bits(acc32)
+		case matrix.INT8:
+			prod := int32(int8(a)) * int32(int8(b))
+			accI += prod
+			pb, ab = uint32(prod), uint32(accI)
+		}
+		prodTog += int64(bitops.Toggle32(prevProd, pb))
+		accTog += int64(bitops.Toggle32(prevAcc, ab))
+		prevProd, prevAcc = pb, ab
+		align += 1 - float64(bitops.Popcount32((a^b)&mask))/float64(width)
+	}
+	return prodTog, accTog, align
+}
+
+// TestFP16SampledWalkMatchesKernelArithmetic holds the sampled walk to
+// walkWant on every datatype, over raw bit patterns with planted NaN
+// pairs, so a NaN meets a NaN in the multiply and in the accumulate. At
+// sample counts 1 and 3 every output is sampled, so the report's
+// totals are plain sums over the lanes, and the last sample walks
+// paired with itself; the 1×3 output pairs lanes on different B
+// columns.
 func TestFP16SampledWalkMatchesKernelArithmetic(t *testing.T) {
-	// The accumulator trajectory must follow the exact FP16 FMA chain.
-	dt := matrix.FP16
-	a := matrix.New(dt, 1, 8)
-	b := matrix.New(dt, 8, 1)
-	matrix.FillGaussian(a, rng.New(1), 0, 1)
-	matrix.FillGaussian(b, rng.New(2), 0, 1)
-	var acc, prevAcc, prevProd uint16
-	var wantProd, wantAcc int64
-	for kk := 0; kk < 8; kk++ {
-		prod := softfloat.Mul16(uint16(a.At(0, kk)), uint16(b.At(kk, 0)))
-		wantProd += int64(bitops.Toggle16(prevProd, prod))
-		prevProd = prod
-		acc = softfloat.Add16(acc, prod)
-		wantAcc += int64(bitops.Toggle16(prevAcc, acc))
-		prevAcc = acc
+	const k = 11
+	nans := map[matrix.DType][2]uint32{
+		matrix.FP32:  {0x7fc00001, 0xffa00002},
+		matrix.FP16:  {0x7e01, 0xfd02},
+		matrix.FP16T: {0x7e01, 0xfd02},
+		matrix.BF16T: {0x7fc1, 0xffa2},
 	}
-	r, err := Analyze(kernels.NewProblem(dt, a, b), Config{SampleOutputs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(r.ProductToggles) != wantProd {
-		t.Errorf("product toggles = %v, want %d", r.ProductToggles, wantProd)
-	}
-	if int64(r.AccumToggles) != wantAcc {
-		t.Errorf("accum toggles = %v, want %d", r.AccumToggles, wantAcc)
+	for _, dt := range matrix.ExtendedDTypes {
+		for _, sh := range [][2]int{{1, 1}, {3, 1}, {1, 3}} {
+			n, m := sh[0], sh[1]
+			t.Run(fmt.Sprintf("%v/%dx%d", dt, n, m), func(t *testing.T) {
+				a := matrix.New(dt, n, k)
+				b := matrix.New(dt, k, m)
+				mask := bitops.LowMask(dt.Width())
+				src := rng.Derive(uint64(dt)+uint64(n*m), "walk")
+				for _, mt := range []*matrix.Matrix{a, b} {
+					for i := range mt.Bits {
+						mt.Bits[i] = src.Uint32() & mask
+					}
+				}
+				if nan, ok := nans[dt]; ok {
+					// Step 3 multiplies two NaNs; step 7 adds a NaN
+					// product to the NaN accumulator.
+					for i := 0; i < n; i++ {
+						a.Set(i, 3, nan[0])
+						a.Set(i, 7, nan[1])
+					}
+					for j := 0; j < m; j++ {
+						b.Set(3, j, nan[1])
+						b.Set(7, j, nan[0])
+					}
+				}
+				var wantProd, wantAcc int64
+				var wantAlign float64
+				col := make([]uint32, k)
+				for i := 0; i < n; i++ {
+					for j := 0; j < m; j++ {
+						for kk := range col {
+							col[kk] = b.At(kk, j)
+						}
+						p, acc, al := walkWant(dt, a.Row(i), col)
+						wantProd += p
+						wantAcc += acc
+						wantAlign += al
+					}
+				}
+				r, err := Analyze(kernels.NewProblem(dt, a, b), Config{SampleOutputs: n * m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.ProductToggles != float64(wantProd) {
+					t.Errorf("product toggles = %v, want %d", r.ProductToggles, wantProd)
+				}
+				if r.AccumToggles != float64(wantAcc) {
+					t.Errorf("accum toggles = %v, want %d", r.AccumToggles, wantAcc)
+				}
+				if want := wantAlign / float64(n*m*k); r.MeanAlignment != want {
+					t.Errorf("mean alignment = %v, want %v", r.MeanAlignment, want)
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // sort / sparsify / bit transforms to the same underlying matrices,
 // not to fresh draws per sweep coordinate.
 //
-// Three further layers ride on the same refcounts:
+// Three further layers ride on the same cache:
 //
 //   - One pass for every encoding class. A pattern whose generation
 //     splits into a datatype-independent draw and a per-datatype
@@ -42,12 +42,12 @@ import (
 //     which serves every point and datatype of the class whose
 //     pipeline starts with that prefix; Fill stays the reference.
 //
-// Refcounts are per job, and a job serves a whole datatype group (see
-// Run), so FP16 and FP16-T request each matrix once between them. The
-// cached matrices and the jobs' transformed clones live in recycled
-// storage (operandPool): a Run takes its words from the pool and hands
-// them back once its jobs are done, so a campaign's steady state
-// allocates no operand storage.
+// A job serves a whole datatype group (see Run), so FP16 and FP16-T
+// request each matrix once between them. Every entry lives until the
+// end of its Run. The cached matrices and the jobs' transformed clones
+// live in recycled storage (operandPool): a Run takes its words from
+// the pool and hands them back once its jobs are done, so a campaign's
+// steady state allocates no operand storage.
 
 // encClass maps a datatype to its encoding class: datatypes that store
 // identical bit patterns for identical value streams share one cache
@@ -66,12 +66,6 @@ func encClass(dt matrix.DType) matrix.DType {
 type stageName struct {
 	base string // Pattern.BaseName
 	prep string // Pattern.PrepName
-}
-
-// stageOf returns the name of the cached matrix a pattern's remaining
-// transform starts from.
-func stageOf(pat patterns.Pattern) stageName {
-	return stageName{base: pat.BaseName, prep: pat.PrepName}
 }
 
 // baseKey identifies one cached base or prefix matrix within a Run.
@@ -102,9 +96,8 @@ func newOperand(dt matrix.DType, size int) *matrix.Matrix {
 }
 
 type baseEntry struct {
-	once      sync.Once
-	m         *matrix.Matrix
-	remaining int // uses left before the entry is dropped
+	once sync.Once
+	m    *matrix.Matrix
 
 	// Lazily memoized operand statistics of the base bits. Valid for
 	// every datatype of the encoding class (identical bits, identical
@@ -149,15 +142,13 @@ type groupKey struct {
 // encoding class's base matrix and row-stream stats, in the order of
 // the runner's class list for the base name.
 type groupEntry struct {
-	once      sync.Once
-	ms        []*matrix.Matrix
-	sts       []*activity.OperandStats
-	remaining int
+	once sync.Once
+	ms   []*matrix.Matrix
+	sts  []*activity.OperandStats
 }
 
-// baseCache is a per-Run refcounted cache. Entries are evicted as soon
-// as every point that shares them has consumed its use, which bounds
-// resident base matrices to the configurations currently in flight.
+// baseCache is a per-Run cache. Its entries stay until the Run ends,
+// and their matrices until release.
 type baseCache struct {
 	mu      sync.Mutex
 	entries map[baseKey]*baseEntry
@@ -176,8 +167,7 @@ func (c *baseCache) newMatrix(dt matrix.DType, size int) *matrix.Matrix {
 }
 
 // release returns every base and prefix matrix to the pool. It runs
-// once the Run's jobs are done: an entry leaves the map at its last
-// request, but its last requester may still be reading it.
+// once the Run's jobs are done, when nothing reads them any more.
 func (c *baseCache) release() {
 	for _, m := range c.made {
 		operandPool.Put(m)
@@ -193,61 +183,33 @@ func newBaseCache() *baseCache {
 }
 
 // get returns the cache entry for key, generating its matrix on first
-// use via gen. uses is the total number of times the key will be
-// requested during the Run; after the last use the entry leaves the
-// map (the returned entry stays valid for the caller). The entry's
-// matrix is shared — callers must treat it as read-only. gen receives
-// the entry so the multi-class generation can seed its memoized row
-// stats (under the entry's own rowOnce).
-func (c *baseCache) get(key baseKey, uses int, gen func(e *baseEntry) *matrix.Matrix) *baseEntry {
+// use via gen. The entry's matrix is shared — callers must treat it as
+// read-only. gen receives the entry so the multi-class generation can
+// seed its memoized row stats (under the entry's own rowOnce).
+func (c *baseCache) get(key baseKey, gen func(e *baseEntry) *matrix.Matrix) *baseEntry {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
-		e = &baseEntry{remaining: uses}
+		e = &baseEntry{}
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.m = gen(e) })
-	c.mu.Lock()
-	e.remaining--
-	if e.remaining <= 0 {
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
 	return e
 }
 
 // group returns the multi-class generation for key, running gen on
-// first use. uses is the number of encoding classes that will request
-// it; the returned entry stays valid for the caller after eviction and
-// is shared read-only.
-func (c *baseCache) group(key groupKey, uses int, gen func(g *groupEntry)) *groupEntry {
+// first use. The entry is shared read-only.
+func (c *baseCache) group(key groupKey, gen func(g *groupEntry)) *groupEntry {
 	c.mu.Lock()
 	g := c.groups[key]
 	if g == nil {
-		g = &groupEntry{remaining: uses}
+		g = &groupEntry{}
 		c.groups[key] = g
 	}
 	c.mu.Unlock()
 	g.once.Do(func() { gen(g) })
-	c.mu.Lock()
-	g.remaining--
-	if g.remaining <= 0 {
-		delete(c.groups, key)
-	}
-	c.mu.Unlock()
 	return g
-}
-
-// addUse adds one job's request per (side, seed) to its encoding
-// class's refcounts, the counts get() needs: one for the matrix the
-// pattern's transform starts from, plus one base request for each
-// prefix the class builds.
-func addUse(uses map[stageName]int, st stageName) {
-	if st.prep != "" && uses[st] == 0 {
-		uses[stageName{base: st.base}]++
-	}
-	uses[st]++
 }
 
 // materialize produces one operand matrix for a job together with its
@@ -275,7 +237,6 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 		return m, nil, false
 	}
 	cache := r.cache
-	uses := r.uses[encClass(dt)]
 	baseAt := baseKey{class: encClass(dt), side: side, seed: seed, stageName: stageName{base: pat.BaseName}}
 	genBase := func(e *baseEntry) *matrix.Matrix {
 		src := rng.Derive(streamSeed, side+"/"+pat.BaseName)
@@ -286,7 +247,7 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 			return m
 		}
 		classes := r.classes[pat.BaseName]
-		g := cache.group(groupKey{side: side, seed: seed, name: pat.BaseName}, len(classes),
+		g := cache.group(groupKey{side: side, seed: seed, name: pat.BaseName},
 			func(g *groupEntry) {
 				g.ms = make([]*matrix.Matrix, len(classes))
 				for i, cl := range classes {
@@ -300,14 +261,13 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 	}
 	var e *baseEntry
 	if pat.Prep == nil {
-		e = cache.get(baseAt, uses[baseAt.stageName], genBase)
+		e = cache.get(baseAt, genBase)
 	} else {
-		// The prefix is built once, from a clone of the base; each
-		// prefix counts as one use of the base (addUse).
+		// The prefix is built once, from a clone of the base.
 		prepAt := baseAt
-		prepAt.stageName = stageOf(pat)
-		e = cache.get(prepAt, uses[prepAt.stageName], func(*baseEntry) *matrix.Matrix {
-			base := cache.get(baseAt, uses[baseAt.stageName], genBase).m
+		prepAt.prep = pat.PrepName
+		e = cache.get(prepAt, func(*baseEntry) *matrix.Matrix {
+			base := cache.get(baseAt, genBase).m
 			m := cache.newMatrix(base.DType, size)
 			copy(m.Bits, base.Bits)
 			pat.Prep(m)

@@ -172,15 +172,13 @@ func iterationsFor(dt matrix.DType) int {
 	return 10000
 }
 
-// runner is one Run's shared state: the per-Run operand cache, the
-// refcounts it evicts by, and the outcome of every (datatype, point,
-// seed) cell, which jobs write at disjoint indices.
+// runner is one Run's shared state: the per-Run operand cache and the
+// outcome of every (datatype, point, seed) cell, which jobs write at
+// disjoint indices.
 type runner struct {
 	cfg   Config
 	exp   Experiment
 	cache *baseCache
-	// uses holds each encoding class's refcounts per (side, seed).
-	uses map[matrix.DType]map[stageName]int
 	// classes lists, per base name, the encoding classes that generate
 	// it, ordered: the multi-class generation builds all of them.
 	classes map[string][]matrix.DType
@@ -335,28 +333,31 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 
 	// Per-Run base-matrix cache, so transform variants across points
 	// (and datatypes of the same encoding class) share one generation
-	// and one run of each RNG-free prefix per (seed, side). Each job
-	// counts one use per (side, seed) in its encoding class.
+	// and one run of each RNG-free prefix per (seed, side).
 	r := &runner{
 		cfg:     cfg,
 		exp:     exp,
 		cache:   newBaseCache(),
-		uses:    map[matrix.DType]map[stageName]int{},
 		classes: map[string][]matrix.DType{},
 		outs:    make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 		errs:    make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 	}
+	// A pattern with Rows generates its base for every encoding class
+	// that uses the base name in one pass. The classes are ordered for
+	// a deterministic generation layout.
 	groups := make([][][]int, len(exp.Points))
 	for pi, pt := range exp.Points {
 		groups[pi] = dtypeGroups(pt, cfg.DTypes)
 		for _, dis := range groups[pi] {
 			dt := cfg.DTypes[dis[0]]
-			cl := encClass(dt)
-			if r.uses[cl] == nil {
-				r.uses[cl] = map[stageName]int{}
+			name := pt.Pattern(dt).BaseName
+			if cl := encClass(dt); !slices.Contains(r.classes[name], cl) {
+				r.classes[name] = append(r.classes[name], cl)
 			}
-			addUse(r.uses[cl], stageOf(pt.Pattern(dt)))
 		}
+	}
+	for _, classes := range r.classes {
+		slices.Sort(classes)
 	}
 	// Jobs go out datatype-major: workers then build different points'
 	// bases side by side, where point-major order would have one wait
@@ -378,21 +379,6 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 			}
 		}
 	}
-	// A pattern with Rows generates its base for every encoding class
-	// that uses the base name in one pass, which each of those classes
-	// requests once. The classes are ordered for a deterministic
-	// generation layout.
-	for cl, classUses := range r.uses {
-		for st := range classUses {
-			if st.prep == "" {
-				r.classes[st.base] = append(r.classes[st.base], cl)
-			}
-		}
-	}
-	for _, classes := range r.classes {
-		slices.Sort(classes)
-	}
-
 	fanOut(len(jobs), cfg.Workers, func(idx int) {
 		j := jobs[idx]
 		r.runGroup(j.pi, j.seed, j.dis)

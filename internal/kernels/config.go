@@ -20,35 +20,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// Inner-loop variant names reported by ActiveKernelVariant.
-const (
-	// VariantPortable is the pure-Go 4-wide lane kernel built on
-	// every architecture (and forced by the portable_kernels build
-	// tag).
-	VariantPortable = "portable"
-	// VariantWide is the amd64 4×2 register-tile micro-kernel.
-	VariantWide = "wide"
-)
-
-var activeVariant = probeKernelVariant()
-
-// probeKernelVariant selects the widest lane kernel this build and
-// architecture support. The wide variant only exists when the
-// arch-gated file is compiled in (amd64 without the portable_kernels
-// tag). Every variant computes bit-identical results — the probe only
-// picks how the register tiling is shaped.
-func probeKernelVariant() string {
-	if !wideKernelsAvailable {
-		return VariantPortable
-	}
-	installWideKernels()
-	return VariantWide
-}
-
-// ActiveKernelVariant reports which inner-loop implementation Run
-// dispatches to.
-func ActiveKernelVariant() string { return activeVariant }
-
 // TileConfig is a CUTLASS-style threadblock tile shape.
 type TileConfig struct {
 	// BlockM × BlockN is the output tile one threadblock produces;

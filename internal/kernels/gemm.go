@@ -86,49 +86,16 @@ func epilogueBF16T(p *Problem, i, j int, acc float32) float64 {
 	return float64(softfloat.BF16ToF32(softfloat.F32ToBF16(d)))
 }
 
-// dotF32 is the float32 reduction of the packed panels in ascending-k
-// order. A standalone function keeps the accumulator in a register —
-// inside the scheduling closure the compiler spills it to the stack
-// every iteration.
-//
-//go:noinline
-func dotF32(a, b []float32) float32 {
-	var acc float32
-	b = b[:len(a)]
-	for i, v := range a {
-		acc += v * b[i]
-	}
-	return acc
-}
-
-// dotI32 is the int32 reduction of the packed panels.
-//
-//go:noinline
-func dotI32(a, b []int32) int32 {
-	var acc int32
-	b = b[:len(a)]
-	for i, v := range a {
-		acc += v * b[i]
-	}
-	return acc
-}
-
 // runF32Acc executes the datatypes whose multiply is exact in float32
 // and whose accumulator is a float32 register (FP32, FP16-T, BF16-T):
-// lane-blocked dot products over the packed panels with a per-dtype
-// store. The inner loops come from the capability probe — the portable
-// 4-wide lane kernel everywhere, the 4×2 register tile on amd64.
+// the 4-wide lane kernel over the packed panels with a per-dtype store.
 func runF32Acc(p *Problem, out *Output, epi func(p *Problem, i, j int, acc float32) float64) {
 	n, k, m := p.Dims()
 	dec := f32Decoder(p.DType)
-	aPan := packRowsF32(p.A, dec)
-	bPan := packOpColsF32(p, dec)
-	impl := gemmF32Portable
-	if activeVariant == VariantWide && gemmF32Wide != nil {
-		impl = gemmF32Wide
-	}
+	aPan := packRows(p.A, dec)
+	bPan := packOpCols(p, dec)
 	parallelRowBlocks(n, rowBlock, func(lo, hi int) {
-		impl(aPan, bPan, k, m, lo, hi, func(i, j int, acc float32) {
+		gemm4(aPan, bPan, k, m, lo, hi, func(i, j int, acc float32) {
 			out.Vals[i*m+j] = epi(p, i, j, acc)
 		})
 	})
@@ -143,12 +110,12 @@ func runF32Acc(p *Problem, out *Output, epi func(p *Problem, i, j int, acc float
 func runFP16(p *Problem, out *Output) {
 	n, k, m := p.Dims()
 	dec := f32Decoder(matrix.FP16)
-	aPan := packRowsF32(p.A, dec)
-	bPan := packOpColsF32(p, dec)
+	aPan := packRows(p.A, dec)
+	bPan := packOpCols(p, dec)
 	alpha := softfloat.F32ToF16(float32(p.Alpha))
 	beta := softfloat.F32ToF16(float32(p.Beta))
 	parallelRowBlocks(n, rowBlock, func(lo, hi int) {
-		gemmFP16Portable(aPan, bPan, k, m, lo, hi, func(i, j int, acc uint16) {
+		gemmFP16(aPan, bPan, k, m, lo, hi, func(i, j int, acc uint16) {
 			c := softfloat.F32ToF16(float32(cVal(p, i, j)))
 			d := softfloat.Add16(softfloat.Mul16(alpha, acc), softfloat.Mul16(beta, c))
 			out.Vals[i*m+j] = float64(softfloat.F16ToF32(d))
@@ -160,10 +127,10 @@ func runFP16(p *Problem, out *Output) {
 // semantics) over sign-extended panels.
 func runINT8(p *Problem, out *Output) {
 	n, k, m := p.Dims()
-	aPan := packRowsI32(p.A)
-	bPan := packOpColsI32(p)
+	aPan := packRows(p.A, i8Decoder)
+	bPan := packOpCols(p, i8Decoder)
 	parallelRowBlocks(n, rowBlock, func(lo, hi int) {
-		gemmI32Portable(aPan, bPan, k, m, lo, hi, func(i, j int, acc int32) {
+		gemm4(aPan, bPan, k, m, lo, hi, func(i, j int, acc int32) {
 			out.Vals[i*m+j] = p.Alpha*float64(acc) + p.Beta*cVal(p, i, j)
 		})
 	})
@@ -174,25 +141,13 @@ func runINT8(p *Problem, out *Output) {
 // packed-panel layout and block scheduling with the datatype engine.
 func Reference(p *Problem) *Output {
 	n, k, m := p.Dims()
-	aPan := packRowsF64(p.A)
-	bPan := packOpColsF64(p)
+	aPan := packRows(p.A, p.A.DType.Decode)
+	bPan := packOpCols(p, p.B.DType.Decode)
 	out := &Output{Rows: n, Cols: m, Vals: make([]float64, n*m)}
 	parallelRowBlocks(n, rowBlock, func(lo, hi int) {
-		gemmF64Portable(aPan, bPan, k, m, lo, hi, func(i, j int, acc float64) {
+		gemm4(aPan, bPan, k, m, lo, hi, func(i, j int, acc float64) {
 			out.Vals[i*m+j] = p.Alpha*acc + p.Beta*cVal(p, i, j)
 		})
 	})
 	return out
-}
-
-// dotF64 is the float64 reduction for the reference oracle.
-//
-//go:noinline
-func dotF64(a, b []float64) float64 {
-	var acc float64
-	b = b[:len(a)]
-	for i, v := range a {
-		acc += v * b[i]
-	}
-	return acc
 }

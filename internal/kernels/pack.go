@@ -30,98 +30,32 @@ func f32Decoder(dt matrix.DType) func(uint32) float32 {
 	}
 }
 
-// packRowsF32 decodes a row-major matrix into a row-major float32 panel.
-func packRowsF32(mt *matrix.Matrix, dec func(uint32) float32) []float32 {
-	out := make([]float32, len(mt.Bits))
+// i8Decoder sign-extends an INT8 element into its int32 accumulator
+// type (DP4A operand semantics).
+func i8Decoder(b uint32) int32 { return int32(int8(uint8(b))) }
+
+// packRows decodes a row-major matrix into a row-major panel.
+func packRows[T accum](mt *matrix.Matrix, dec func(uint32) T) []T {
+	out := make([]T, len(mt.Bits))
 	for i, b := range mt.Bits {
 		out[i] = dec(b)
 	}
 	return out
 }
 
-// packColsF32 decodes B (K×M row-major) into M contiguous column
-// panels: out[j*K+kk] = dec(B[kk, j]).
-func packColsF32(mt *matrix.Matrix, dec func(uint32) float32) []float32 {
-	rows, cols := mt.Rows, mt.Cols
-	out := make([]float32, rows*cols)
+// packOpCols packs the logical B operand into M contiguous column
+// panels: out[j*K+kk] = dec(B[kk, j]). With transposed storage the
+// operand's columns are B's rows, so packing degenerates to a straight
+// row-major decode — one of the wins of BTransposed.
+func packOpCols[T accum](p *Problem, dec func(uint32) T) []T {
+	if p.BTransposed {
+		return packRows(p.B, dec)
+	}
+	rows, cols := p.B.Rows, p.B.Cols
+	out := make([]T, rows*cols)
 	for kk := 0; kk < rows; kk++ {
-		row := mt.Row(kk)
-		for j, b := range row {
+		for j, b := range p.B.Row(kk) {
 			out[j*rows+kk] = dec(b)
-		}
-	}
-	return out
-}
-
-// packOpColsF32 packs the logical B operand into M contiguous column
-// panels. With transposed storage the operand's columns are B's rows,
-// so packing degenerates to a straight row-major decode — one of the
-// wins of BTransposed.
-func packOpColsF32(p *Problem, dec func(uint32) float32) []float32 {
-	if p.BTransposed {
-		return packRowsF32(p.B, dec)
-	}
-	return packColsF32(p.B, dec)
-}
-
-// packOpColsI32 packs the logical B operand into column panels of
-// sign-extended int32.
-func packOpColsI32(p *Problem) []int32 {
-	if p.BTransposed {
-		return packRowsI32(p.B)
-	}
-	return packColsI32(p.B)
-}
-
-// packOpColsF64 packs the logical B operand into float64 column panels
-// for the reference oracle.
-func packOpColsF64(p *Problem) []float64 {
-	if p.BTransposed {
-		return packRowsF64(p.B)
-	}
-	return packColsF64(p.B)
-}
-
-// packRowsI32 sign-extends INT8 elements into a row-major int32 panel.
-func packRowsI32(mt *matrix.Matrix) []int32 {
-	out := make([]int32, len(mt.Bits))
-	for i, b := range mt.Bits {
-		out[i] = int32(int8(uint8(b)))
-	}
-	return out
-}
-
-// packColsI32 sign-extends B into column-major int32 panels.
-func packColsI32(mt *matrix.Matrix) []int32 {
-	rows, cols := mt.Rows, mt.Cols
-	out := make([]int32, rows*cols)
-	for kk := 0; kk < rows; kk++ {
-		row := mt.Row(kk)
-		for j, b := range row {
-			out[j*rows+kk] = int32(int8(uint8(b)))
-		}
-	}
-	return out
-}
-
-// packRowsF64 decodes any datatype into a row-major float64 panel, for
-// the reference oracle.
-func packRowsF64(mt *matrix.Matrix) []float64 {
-	out := make([]float64, len(mt.Bits))
-	for i, b := range mt.Bits {
-		out[i] = mt.DType.Decode(b)
-	}
-	return out
-}
-
-// packColsF64 decodes B into column-major float64 panels.
-func packColsF64(mt *matrix.Matrix) []float64 {
-	rows, cols := mt.Rows, mt.Cols
-	out := make([]float64, rows*cols)
-	for kk := 0; kk < rows; kk++ {
-		row := mt.Row(kk)
-		for j, b := range row {
-			out[j*rows+kk] = mt.DType.Decode(b)
 		}
 	}
 	return out
