@@ -8,7 +8,8 @@
 // exits 1 if any matched benchmark in new.json is more than 25% slower
 // than the same benchmark in old.json, in wall time (ns/op) or — when
 // both streams were produced with -benchmem — in allocations
-// (allocs/op). An allocation count going from zero to nonzero is an
+// (allocs/op). A benchmark run several times (-count) is compared by
+// the median of its repeats on each side. An allocation count going from zero to nonzero is an
 // unconditional regression: no percentage can describe losing an
 // allocation-free fast path. Streams without allocation data (old
 // artifacts predating -benchmem) gate on wall time alone. Benchmarks
@@ -66,7 +67,9 @@ type meas struct {
 }
 
 // parse extracts benchmark name → measurement from a `go test -json`
-// stream. Repeated runs of one benchmark keep the last measurement.
+// stream. Repeated runs of one benchmark (-count) reduce to the median
+// of their ns/op and of their allocs/op, so one outlier repeat moves
+// neither; allocations count only when every repeat recorded them.
 func parse(path string) (map[string]meas, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -74,7 +77,7 @@ func parse(path string) (map[string]meas, error) {
 	}
 	defer f.Close()
 
-	out := map[string]meas{}
+	repeats := map[string][]meas{}
 	record := func(name, nsStr, rest string) {
 		var m meas
 		fmt.Sscanf(nsStr, "%g", &m.ns)
@@ -82,7 +85,7 @@ func parse(path string) (map[string]meas, error) {
 			fmt.Sscanf(am[1], "%g", &m.allocs)
 			m.hasAllocs = true
 		}
-		out[name] = m
+		repeats[name] = append(repeats[name], m)
 	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -105,7 +108,33 @@ func parse(path string) (map[string]meas, error) {
 			}
 		}
 	}
+	out := make(map[string]meas, len(repeats))
+	for name, ms := range repeats {
+		ns, allocs := make([]float64, len(ms)), make([]float64, 0, len(ms))
+		for i, m := range ms {
+			ns[i] = m.ns
+			if m.hasAllocs {
+				allocs = append(allocs, m.allocs)
+			}
+		}
+		m := meas{ns: median(ns), hasAllocs: len(allocs) == len(ms)}
+		if m.hasAllocs {
+			m.allocs = median(allocs)
+		}
+		out[name] = m
+	}
 	return out, sc.Err()
+}
+
+// median returns the middle of xs, or the mean of the two middle
+// values for an even count. It sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	h := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[h]
+	}
+	return (xs[h-1] + xs[h]) / 2
 }
 
 func main() {

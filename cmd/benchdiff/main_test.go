@@ -45,15 +45,15 @@ func times(m map[string]float64) map[string]meas {
 func TestParseStreams(t *testing.T) {
 	// Both `go test -json` measurement shapes parse: the name-leading
 	// benchmark line and the bare measurement line attributed via the
-	// Test field; the -cpu suffix is stripped; repeated runs keep the
-	// last value; non-JSON and irrelevant lines are tolerated; the
+	// Test field; the -cpu suffix is stripped; repeated runs reduce to
+	// their median; non-JSON and irrelevant lines are tolerated; the
 	// -benchmem allocs/op column is lifted when present and absent
 	// otherwise.
 	content := strings.Join([]string{
 		`not json at all`,
 		`{"Action":"run","Test":"BenchmarkFig1"}`,
 		event("BenchmarkFig1", 100),
-		event("BenchmarkFig1", 120), // later run wins
+		event("BenchmarkFig1", 120), // two repeats: their mean
 		`{"Action":"output","Test":"BenchmarkFig2-8","Output":"       5\t250.5 ns/op\t  12 B/op\t  7 allocs/op\n"}`,
 		memEvent("BenchmarkFig3", 300, 42),
 		`{"Action":"output","Test":"","Output":"PASS\n"}`,
@@ -66,14 +66,43 @@ func TestParseStreams(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
 	}
-	if m := got["BenchmarkFig1"]; m.ns != 120 || m.hasAllocs {
-		t.Errorf("BenchmarkFig1 = %+v, want ns 120 without allocs (last run wins)", m)
+	if m := got["BenchmarkFig1"]; m.ns != 110 || m.hasAllocs {
+		t.Errorf("BenchmarkFig1 = %+v, want ns 110 without allocs (median of two repeats)", m)
 	}
 	if m := got["BenchmarkFig2"]; m.ns != 250.5 || !m.hasAllocs || m.allocs != 7 {
 		t.Errorf("BenchmarkFig2 = %+v, want ns 250.5 with 7 allocs (cpu suffix stripped)", m)
 	}
 	if m := got["BenchmarkFig3"]; m.ns != 300 || !m.hasAllocs || m.allocs != 42 {
 		t.Errorf("BenchmarkFig3 = %+v, want ns 300 with 42 allocs", m)
+	}
+}
+
+// TestParseMedianOfRepeats: a -count=5 stream whose last repeat is an
+// outlier, three times the others, gates on the median. Keeping the
+// last repeat would have failed the gate on one noisy run. A repeat
+// without allocation data drops allocations from the gate.
+func TestParseMedianOfRepeats(t *testing.T) {
+	var repeats strings.Builder
+	for _, ns := range []float64{101, 98, 104, 99, 300} {
+		repeats.WriteString(memEvent("BenchmarkGEMM/INT8", ns, 10))
+	}
+	cur := writeFile(t, "cur.json", repeats.String())
+	got, err := parse(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got["BenchmarkGEMM/INT8"]; m.ns != 101 || !m.hasAllocs || m.allocs != 10 {
+		t.Errorf("BenchmarkGEMM/INT8 = %+v, want the median 101 ns with 10 allocs", m)
+	}
+	old := writeFile(t, "old.json", memEvent("BenchmarkGEMM/INT8", 100, 10))
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{old, cur}, &stdout, &stderr); code != 0 {
+		t.Errorf("exit = %d, want 0: the median is within threshold\n%s", code, stdout.String())
+	}
+
+	mixed := writeFile(t, "mixed.json", memEvent("BenchmarkFig1", 100, 3)+event("BenchmarkFig1", 100))
+	if got, err := parse(mixed); err != nil || got["BenchmarkFig1"].hasAllocs {
+		t.Errorf("repeats with and without allocs: %+v (%v), want no allocs", got["BenchmarkFig1"], err)
 	}
 }
 
@@ -146,6 +175,8 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkTransform/sparsify",
 		"BenchmarkScan/A",
 		"BenchmarkGenerate/gaussian",
+		"BenchmarkTransform/sort-rows",
+		"BenchmarkTransform/sort-fractions",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

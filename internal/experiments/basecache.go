@@ -68,12 +68,25 @@ type stageName struct {
 	prep string // Pattern.PrepName
 }
 
-// baseKey identifies one cached base or prefix matrix within a Run.
+// baseKey identifies one cached base, full-sort or prefix matrix
+// within a Run.
 type baseKey struct {
 	class matrix.DType // encClass of the requesting datatype
 	side  string       // "A" or "B"
 	seed  int
 	stageName
+}
+
+// fullSortKey is the key of the full sort of the base at key that
+// every fraction of pl's partial sort derives its prefix from: one
+// entry serves IntoRows and IntoCols, which sort the same row-major
+// sequence, and one WithinRows. No PrepName takes either stage name.
+func fullSortKey(key baseKey, pl matrix.Placement) baseKey {
+	key.prep = "fullsort"
+	if pl == matrix.WithinRows {
+		key.prep = "fullsort(withinrows)"
+	}
+	return key
 }
 
 // operandPool recycles operand storage across jobs and Runs: a job's
@@ -139,8 +152,9 @@ type groupKey struct {
 }
 
 // groupEntry is one multi-class generation (generateClasses): each
-// encoding class's base matrix and row-stream stats, in the order of
-// the runner's class list for the base name.
+// encoding class's base matrix and row-stream stats (nil when no point
+// reads them), in the order of the runner's class list for the base
+// name.
 type groupEntry struct {
 	once sync.Once
 	ms   []*matrix.Matrix
@@ -253,22 +267,35 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 				for i, cl := range classes {
 					g.ms[i] = cache.newMatrix(cl, size)
 				}
-				g.sts = generateClasses(pat, src, g.ms)
+				g.sts = generateClasses(pat, src, g.ms, r.scanned[pat.BaseName])
 			})
 		i := slices.Index(classes, encClass(dt))
-		e.rowOnce.Do(func() { e.rowStats = g.sts[i] })
+		if g.sts != nil {
+			e.rowOnce.Do(func() { e.rowStats = g.sts[i] })
+		}
 		return g.ms[i]
 	}
 	var e *baseEntry
 	if pat.Prep == nil {
 		e = cache.get(baseAt, genBase)
 	} else {
-		// The prefix is built once, from a clone of the base.
+		// The prefix is built once, from the base: derived from the
+		// base's full sort when it is one partial sort, else by Prep
+		// on a clone.
 		prepAt := baseAt
 		prepAt.prep = pat.PrepName
 		e = cache.get(prepAt, func(*baseEntry) *matrix.Matrix {
 			base := cache.get(baseAt, genBase).m
 			m := cache.newMatrix(base.DType, size)
+			if st := pat.PrepSort; st != nil {
+				full := cache.get(fullSortKey(baseAt, st.Placement), func(*baseEntry) *matrix.Matrix {
+					f := cache.newMatrix(base.DType, size)
+					matrix.FullSort(f, base, st.Placement)
+					return f
+				}).m
+				matrix.DerivePartialSort(m, base, full, st.Placement, st.Frac)
+				return m
+			}
 			copy(m.Bits, base.Bits)
 			pat.Prep(m)
 			return m
@@ -301,15 +328,19 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 // generateClasses runs pat's generation stage once for several
 // encoding classes, one matrix each in ms, all of one shape: it draws
 // every row once (pat.Rows), and each class encodes the row into its
-// matrix and adds it to its row-stream statistics. Each matrix equals
-// pat.BaseFill on src, and each statistics activity.ScanA of it; they
-// come back in the order of ms.
-func generateClasses(pat patterns.Pattern, src *rng.Source, ms []*matrix.Matrix) []*activity.OperandStats {
+// matrix and, when scan is set, adds it to its row-stream statistics.
+// Each matrix equals pat.BaseFill on src, and each statistics
+// activity.ScanA of it; they come back in the order of ms, or nil
+// without scan.
+func generateClasses(pat patterns.Pattern, src *rng.Source, ms []*matrix.Matrix, scan bool) []*activity.OperandStats {
 	next, encode := pat.Rows(src)
 	rows, cols := ms[0].Rows, ms[0].Cols
-	sts := make([]*activity.OperandStats, len(ms))
-	for c := range sts {
-		sts[c] = &activity.OperandStats{Sig: make([]int64, cols)}
+	var sts []*activity.OperandStats
+	if scan {
+		sts = make([]*activity.OperandStats, len(ms))
+		for c := range sts {
+			sts[c] = &activity.OperandStats{Sig: make([]int64, cols)}
+		}
 	}
 	raw := make([]float64, cols)
 	for i := 0; i < rows; i++ {
@@ -317,7 +348,9 @@ func generateClasses(pat patterns.Pattern, src *rng.Source, ms []*matrix.Matrix)
 		for c, m := range ms {
 			row := m.Row(i)
 			encode(row, raw, m.DType)
-			sts[c].AddRow(m.DType, row)
+			if scan {
+				sts[c].AddRow(m.DType, row)
+			}
 		}
 	}
 	return sts

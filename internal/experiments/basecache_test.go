@@ -16,12 +16,13 @@ import (
 // its reference: for every encoding class, the matrix generateClasses
 // builds must equal the pattern's BaseFill on the same stream bit for
 // bit, and the statistics it adds row by row must equal
-// activity.ScanA of that matrix. kind picks Gaussian(mean, std),
-// GaussianDefault or FromSet(1+setN%64, mean, std); classMask picks a
-// non-empty set of classes; the shape runs from 1×1 to 24×40. The
-// committed corpus keeps Gaussian cases at σ tiny and huge, which push
-// FP16 into its subnormal and overflow conversion tails, and one whose
-// mean and σ expose a double rounding in FP16's encode.
+// activity.ScanA of that matrix; without statistics, the pass must
+// build the same bits. kind picks Gaussian(mean, std), GaussianDefault
+// or FromSet(1+setN%64, mean, std); classMask picks a non-empty set of
+// classes; the shape runs from 1×1 to 24×40. The committed corpus
+// keeps Gaussian cases at σ tiny and huge, which push FP16 into its
+// subnormal and overflow conversion tails, and one whose mean and σ
+// expose a double rounding in FP16's encode.
 func FuzzGenerateMatchesBaseFill(f *testing.F) {
 	// One datatype per encoding class (FP16-T stores as FP16).
 	all := []matrix.DType{matrix.FP32, matrix.FP16, matrix.BF16T, matrix.INT8}
@@ -50,7 +51,7 @@ func FuzzGenerateMatchesBaseFill(f *testing.F) {
 				ms = append(ms, m)
 			}
 		}
-		sts := generateClasses(pat, rng.New(seed), ms)
+		sts := generateClasses(pat, rng.New(seed), ms, true)
 		for i, m := range ms {
 			ctx := fmt.Sprintf("%s %v %dx%d seed %#x", pat.Name, m.DType, r, c, seed)
 			want := matrix.New(m.DType, r, c)
@@ -60,6 +61,19 @@ func FuzzGenerateMatchesBaseFill(f *testing.F) {
 			}
 			if wantSt := activity.ScanA(want); !reflect.DeepEqual(sts[i], wantSt) {
 				t.Fatalf("%s: stats %+v, ScanA %+v", ctx, *sts[i], *wantSt)
+			}
+		}
+		// Without statistics the pass builds the same bits.
+		noScan := make([]*matrix.Matrix, len(ms))
+		for i, m := range ms {
+			noScan[i] = matrix.New(m.DType, r, c)
+		}
+		if sts := generateClasses(pat, rng.New(seed), noScan, false); sts != nil {
+			t.Fatalf("%s: statistics built without scan", pat.Name)
+		}
+		for i, m := range noScan {
+			if !m.Equal(ms[i]) {
+				t.Fatalf("%s %v: bits without scan differ from the scanning pass", pat.Name, m.DType)
 			}
 		}
 	})
@@ -86,7 +100,7 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				generateClasses(c.pat, rng.New(1), ms)
+				generateClasses(c.pat, rng.New(1), ms, true)
 			}
 		})
 	}

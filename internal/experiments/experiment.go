@@ -182,6 +182,11 @@ type runner struct {
 	// classes lists, per base name, the encoding classes that generate
 	// it, ordered: the multi-class generation builds all of them.
 	classes map[string][]matrix.DType
+	// scanned holds the base names whose multi-class generation also
+	// builds row-stream statistics: those some point reads without a
+	// prefix. A base read only through prefixes never reads its own
+	// statistics; a later reader would scan it.
+	scanned map[string]bool
 
 	outs []runOutcome
 	errs []error
@@ -339,6 +344,7 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		exp:     exp,
 		cache:   newBaseCache(),
 		classes: map[string][]matrix.DType{},
+		scanned: map[string]bool{},
 		outs:    make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 		errs:    make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
 	}
@@ -350,9 +356,13 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		groups[pi] = dtypeGroups(pt, cfg.DTypes)
 		for _, dis := range groups[pi] {
 			dt := cfg.DTypes[dis[0]]
-			name := pt.Pattern(dt).BaseName
+			pat := pt.Pattern(dt)
+			name := pat.BaseName
 			if cl := encClass(dt); !slices.Contains(r.classes[name], cl) {
 				r.classes[name] = append(r.classes[name], cl)
+			}
+			if pat.Prep == nil {
+				r.scanned[name] = true
 			}
 		}
 	}

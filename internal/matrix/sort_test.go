@@ -89,26 +89,43 @@ func decodeSortCase(data []byte) (*Matrix, sortKind, float64) {
 }
 
 // checkAgainstReference applies the partial sort to m and to a copy
-// under the reference implementation and requires identical words.
+// under the reference implementation and requires identical words. It
+// also derives the partial sort from a full sort of the original
+// (FullSort, then DerivePartialSort into storage holding stale words)
+// and requires the same words from that.
 func checkAgainstReference(t *testing.T, m *Matrix, kind sortKind, frac float64) {
 	t.Helper()
 	want := m.Clone()
 	refSort(want, kind, frac)
+	src := m.Clone()
 	kind.apply(m, frac)
-	if !m.Equal(want) {
-		for i := range m.Bits {
-			if m.Bits[i] != want.Bits[i] {
-				t.Fatalf("%v %dx%d %v frac=%v: word %d = %#x, reference %#x",
-					m.DType, m.Rows, m.Cols, kind, frac, i, m.Bits[i], want.Bits[i])
-			}
+	requireEqualWords(t, m, want, kind, frac, "")
+	full, derived := New(m.DType, m.Rows, m.Cols), New(m.DType, m.Rows, m.Cols)
+	for i := range full.Bits {
+		full.Bits[i], derived.Bits[i] = 0xDEADBEEF, 0xDEADBEEF
+	}
+	FullSort(full, src, kind.placement())
+	DerivePartialSort(derived, src, full, kind.placement(), frac)
+	requireEqualWords(t, derived, want, kind, frac, " (full sort + derive)")
+}
+
+// requireEqualWords fails at the first word of got that differs from
+// the reference's.
+func requireEqualWords(t *testing.T, got, want *Matrix, kind sortKind, frac float64, path string) {
+	t.Helper()
+	for i := range got.Bits {
+		if got.Bits[i] != want.Bits[i] {
+			t.Fatalf("%v %dx%d %v frac=%v%s: word %d = %#x, reference %#x",
+				got.DType, got.Rows, got.Cols, kind, frac, path, i, got.Bits[i], want.Bits[i])
 		}
 	}
 }
 
-// FuzzPartialSort holds SortIntoRows, SortIntoCols and SortWithinRows
-// to the original packed-argsort implementation bit for bit, over every
-// datatype, shapes from 1×1 to 48×48, tied keys, NaN patterns and bits
-// above the datatype's width.
+// FuzzPartialSort holds SortIntoRows, SortIntoCols and SortWithinRows,
+// and the same sorts derived from a full sort, to the original
+// packed-argsort implementation bit for bit, over every datatype,
+// shapes from 1×1 to 48×48, tied keys, NaN patterns and bits above the
+// datatype's width.
 func FuzzPartialSort(f *testing.F) {
 	for dt := range ExtendedDTypes {
 		for kind := range numSortKinds {

@@ -182,6 +182,11 @@ func (k sortKind) String() string {
 	return [...]string{"rows", "cols", "withinrows"}[k]
 }
 
+// placement is the kind's Placement.
+func (k sortKind) placement() Placement {
+	return [...]Placement{IntoRows, IntoCols, WithinRows}[k]
+}
+
 // apply runs the partial sort under test.
 func (k sortKind) apply(m *Matrix, frac float64) {
 	switch k {

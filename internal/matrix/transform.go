@@ -75,10 +75,10 @@ func (o orderKey) width() int { return bits.OnesCount32(o.mask) }
 // passes it saves.
 const countingMin = 1 << 14
 
-// sortWork is the working memory of one partial sort: two word buffers
-// and the bucket counts. It lives in sortPool between calls, so
-// steady-state sorts allocate nothing; the pool releases it at garbage
-// collection.
+// sortWork is the working memory of the sorts: a result buffer, the
+// radix sort's second buffer and the bucket counts. It lives in
+// sortPool between calls, so steady-state sorts allocate nothing; the
+// pool releases it at garbage collection.
 type sortWork struct {
 	a, b  []uint32
 	count []uint32
@@ -94,25 +94,21 @@ func sized(buf []uint32, n int) []uint32 {
 	return buf[:n]
 }
 
-// partialSort returns, in one of w's buffers, the elements of src
-// reordered so that the k smallest (1 ≤ k ≤ len(src)) come first,
-// ascending by order key and, among equal keys, by original index;
-// the other elements follow in their original order. It moves the
-// original 32-bit words and leaves src unchanged.
+// sortInto writes the words of src into out sorted ascending by order
+// key and, among equal keys, by original index. It leaves src
+// unchanged; out must not overlap it.
 //
-// 8-bit keys, and 16-bit keys on large inputs, take one histogram
-// pass and one scatter (countingPartial). FP32, and 16-bit keys on
-// short inputs such as SortWithinRows' rows, take a stable LSD radix
-// sort followed by a pass that collects the remainder (radixPartial).
-// Both are linear in len(src).
-func (w *sortWork) partialSort(src []uint32, key orderKey, k int) []uint32 {
+// 8-bit keys, and 16-bit keys on large inputs, take one histogram pass
+// and one scatter (countingSort). FP32, and 16-bit keys on short
+// inputs such as SortWithinRows' rows, take a stable LSD radix sort
+// (radixSort). Both are linear in len(src).
+func (w *sortWork) sortInto(out, src []uint32, key orderKey) {
 	n := len(src)
-	w.a = sized(w.a, n)
 	width := key.width()
 	if width == 8 || width == 16 && n >= countingMin {
 		w.count = sized(w.count, 1<<width)
-		countingPartial(src, w.a, w.count, key, k)
-		return w.a
+		countingSort(out, src, w.count, key)
+		return
 	}
 	digitBits := 8
 	if n >= countingMin {
@@ -120,55 +116,33 @@ func (w *sortWork) partialSort(src []uint32, key orderKey, k int) []uint32 {
 	}
 	w.b = sized(w.b, n)
 	w.count = sized(w.count, width/digitBits<<digitBits)
-	return radixPartial(src, w.a, w.b, w.count, key, digitBits, k)
+	radixSort(out, src, w.b, w.count, key, digitBits)
 }
 
-// countingPartial is partialSort over one bucket per key. The
-// histogram gives the threshold key t, the smallest whose cumulative
-// count reaches k. Keys below t, and the first elements with key t up
-// to a total of k, scatter to their prefix-sum positions; every other
-// element goes to the remainder in the same pass, in original order.
-func countingPartial(src, out, count []uint32, key orderKey, k int) {
+// countingSort is sortInto over one bucket per key: a histogram, its
+// prefix sums, and a scatter in source order.
+func countingSort(out, src, count []uint32, key orderKey) {
 	clear(count)
 	for _, b := range src {
 		count[key.of(b)]++
 	}
-	kk := uint32(k)
-	var start uint32
-	t := 0
-	for ; ; t++ {
-		c := count[t]
-		count[t] = start
-		if start+c >= kk {
-			break
-		}
-		start += c
+	var sum uint32
+	for i, c := range count {
+		count[i] = sum
+		sum += c
 	}
-	// Bucket t fills up at position k; keys above it start full.
-	for j := t + 1; j < len(count); j++ {
-		count[j] = kk
-	}
-	rest := kk
 	for _, b := range src {
 		kb := key.of(b)
-		p := count[kb]
-		d, in := rest, uint32(0)
-		if p < kk {
-			d, in = p, 1
-		}
-		out[d] = b
-		count[kb] = p + in
-		rest += 1 - in
+		out[count[kb]] = b
+		count[kb]++
 	}
 }
 
-// radixPartial is partialSort by a stable LSD radix sort of the words
-// over digitBits-wide key digits, ping-ponging between a and b and
-// skipping digits every element shares. count holds one histogram per
-// digit. The k-th smallest key t then bounds the remainder: a pass
-// over src drops keys below t and the first elements with key t that
-// the sorted prefix took, and appends the rest after position k.
-func radixPartial(src, a, b, count []uint32, key orderKey, digitBits, k int) []uint32 {
+// radixSort is sortInto by a stable LSD radix sort over digitBits-wide
+// key digits, skipping digits every element shares. count holds one
+// histogram per digit. The passes ping-pong between out and tmp,
+// starting on whichever buffer makes the last pass land in out.
+func radixSort(out, src, tmp, count []uint32, key orderKey, digitBits int) {
 	n := len(src)
 	digits, nb := key.width()/digitBits, 1<<digitBits
 	dmask := uint32(nb - 1)
@@ -190,35 +164,57 @@ func radixPartial(src, a, b, count []uint32, key orderKey, digitBits, k int) []u
 			h3[kw>>24]++
 		}
 	}
-	bufs := [2][]uint32{a, b}
-	sorted, next := src, 0
 	first := key.of(src[0])
+	var active [4]int
+	passes := 0
 	for d := 0; d < digits; d++ {
+		if count[d*nb+int(first>>(d*digitBits)&dmask)] != uint32(n) {
+			active[passes] = d
+			passes++
+		}
+	}
+	if passes == 0 {
+		// Every key is equal: the input order is already sorted.
+		copy(out, src)
+		return
+	}
+	from := src
+	for i, d := range active[:passes] {
+		to := out
+		if (passes-i)%2 == 0 {
+			to = tmp
+		}
 		shift := d * digitBits
 		c := count[d*nb : (d+1)*nb]
-		if c[first>>shift&dmask] == uint32(n) {
-			continue
-		}
 		var sum uint32
-		for i, x := range c {
-			c[i] = sum
+		for j, x := range c {
+			c[j] = sum
 			sum += x
 		}
-		to := bufs[next]
-		for _, w := range sorted {
+		for _, w := range from {
 			dg := key.of(w) >> shift & dmask
 			to[c[dg]] = w
 			c[dg]++
 		}
-		sorted, next = to, next^1
+		from = to
 	}
-	if &sorted[0] == &src[0] {
-		// Every key is equal: the input order is already sorted.
-		sorted = a
-		copy(sorted, src)
+}
+
+// derivePartial writes into out the partial sort of src by k (1 ≤ k ≤
+// len(src)), given sorted, src sorted by sortInto: the k smallest
+// words ascending, which are sorted's first k, then src's other words
+// in their original order. out may be sorted itself, not src.
+//
+// The k-th smallest key t bounds the rest: one pass over src drops
+// keys below t and the first words with key t that the sorted prefix
+// took, and appends the others after position k.
+func derivePartial(out, src, sorted []uint32, key orderKey, k int) {
+	n := len(src)
+	if &out[0] != &sorted[0] {
+		copy(out[:k], sorted[:k])
 	}
 	if k == n {
-		return sorted
+		return
 	}
 	t := key.of(sorted[k-1])
 	take := 0
@@ -243,61 +239,138 @@ func radixPartial(src, a, b, count []uint32, key orderKey, digitBits, k int) []u
 		if kw == uint64(t) {
 			tie = 1
 		}
-		sorted[rest] = w
+		out[rest] = w
 		rest += 1 - drop
 		take -= tie
 		if take <= 0 {
 			bound = uint64(t)
 		}
 	}
-	return sorted
 }
 
-// sortWhole partially sorts the whole matrix along its row-major
-// (colMajor false) or column-major walk.
-func sortWhole(m *Matrix, frac float64, colMajor bool) {
-	k := countOf(frac, len(m.Bits))
-	if k == 0 {
-		return
-	}
-	w := sortPool.Get().(*sortWork)
-	res := w.partialSort(m.Bits, orderKeyOf(m.DType), k)
-	if colMajor {
-		// res lists the elements in column-major walk order, i.e. the
-		// matrix's transpose in row-major storage.
-		transposeBits(m.Bits, res, m.Cols, m.Rows)
-	} else {
-		copy(m.Bits, res)
-	}
-	sortPool.Put(w)
-}
+// Placement selects one of the partial sorts of §IV-C.
+type Placement uint8
 
-// SortIntoRows partially sorts the matrix row-wise (§IV-C, Fig. 5a/5b):
-// the lowest frac of values are sorted into the first frac of row-major
-// indices.
-func SortIntoRows(m *Matrix, frac float64) { sortWhole(m, frac, false) }
+const (
+	// IntoRows sorts the lowest values, ascending, into the first
+	// row-major positions; the rest keep their relative order
+	// (SortIntoRows, Fig. 5a/5b).
+	IntoRows Placement = iota
+	// IntoCols does the same along the column-major walk (SortIntoCols,
+	// Fig. 5c).
+	IntoCols
+	// WithinRows sorts each row on its own (SortWithinRows, Fig. 5d).
+	WithinRows
+)
 
-// SortIntoCols partially sorts the matrix column-wise (§IV-C, Fig. 5c):
-// the lowest frac of values are sorted into the first frac of
-// column-major indices.
-func SortIntoCols(m *Matrix, frac float64) { sortWhole(m, frac, true) }
-
-// SortWithinRows partially sorts each row independently (§IV-C,
-// Fig. 5d): within every row, the lowest frac of that row's values are
-// sorted into the row's first indices.
-func SortWithinRows(m *Matrix, frac float64) {
-	k := countOf(frac, m.Cols)
+// PartialSort partially sorts m in place: pl places the lowest frac of
+// its values. It is FullSort into pooled scratch followed by the
+// derive pass of DerivePartialSort.
+func PartialSort(m *Matrix, pl Placement, frac float64) {
+	k := sortCount(m, pl, frac)
 	if k == 0 {
 		return
 	}
 	key := orderKeyOf(m.DType)
 	w := sortPool.Get().(*sortWork)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		copy(row, w.partialSort(row, key, k))
+	if pl == WithinRows {
+		w.a = sized(w.a, m.Cols)
+		for i := 0; i < m.Rows; i++ {
+			row := m.Row(i)
+			w.sortInto(w.a, row, key)
+			derivePartial(w.a, row, w.a, key, k)
+			copy(row, w.a)
+		}
+	} else {
+		w.a = sized(w.a, len(m.Bits))
+		w.sortInto(w.a, m.Bits, key)
+		derivePartial(w.a, m.Bits, w.a, key, k)
+		place(m, w.a, pl)
 	}
 	sortPool.Put(w)
 }
+
+// sortCount is how many of the lowest values pl's partial sort of m by
+// frac places: round(frac·n) of each row's n for WithinRows, of the
+// whole matrix's otherwise.
+func sortCount(m *Matrix, pl Placement, frac float64) int {
+	if pl == WithinRows {
+		return countOf(frac, m.Cols)
+	}
+	return countOf(frac, len(m.Bits))
+}
+
+// place writes a whole-matrix partial sort's element sequence into m:
+// as it stands for IntoRows; for IntoCols it lists the elements in
+// column-major walk order, i.e. the matrix's transpose in row-major
+// storage.
+func place(m *Matrix, seq []uint32, pl Placement) {
+	if pl == IntoCols {
+		transposeBits(m.Bits, seq, m.Cols, m.Rows)
+	} else {
+		copy(m.Bits, seq)
+	}
+}
+
+// FullSort writes into dst, of src's shape, the elements of src sorted
+// ascending by value and, among equal values, by original position:
+// over the whole matrix in row-major order for IntoRows and IntoCols,
+// which share it, or each row on its own for WithinRows. It is the one
+// sort that every fraction of pl's partial sort of src derives from
+// (DerivePartialSort).
+func FullSort(dst, src *Matrix, pl Placement) {
+	key := orderKeyOf(src.DType)
+	w := sortPool.Get().(*sortWork)
+	if pl == WithinRows {
+		for i := 0; i < src.Rows; i++ {
+			w.sortInto(dst.Row(i), src.Row(i), key)
+		}
+	} else {
+		w.sortInto(dst.Bits, src.Bits, key)
+	}
+	sortPool.Put(w)
+}
+
+// DerivePartialSort writes into dst, of src's shape, what PartialSort
+// of pl and frac leaves on a copy of src, given full = FullSort of src
+// under pl: the lowest values come from full, the rest from src in
+// their original order, in one linear pass. dst must not overlap src
+// or full.
+func DerivePartialSort(dst, src, full *Matrix, pl Placement, frac float64) {
+	k := sortCount(src, pl, frac)
+	key := orderKeyOf(src.DType)
+	switch {
+	case k == 0:
+		copy(dst.Bits, src.Bits)
+	case pl == WithinRows:
+		for i := 0; i < src.Rows; i++ {
+			derivePartial(dst.Row(i), src.Row(i), full.Row(i), key, k)
+		}
+	case pl == IntoCols:
+		w := sortPool.Get().(*sortWork)
+		w.a = sized(w.a, len(src.Bits))
+		derivePartial(w.a, src.Bits, full.Bits, key, k)
+		place(dst, w.a, pl)
+		sortPool.Put(w)
+	default:
+		derivePartial(dst.Bits, src.Bits, full.Bits, key, k)
+	}
+}
+
+// SortIntoRows partially sorts the matrix row-wise (§IV-C, Fig. 5a/5b):
+// the lowest frac of values are sorted into the first frac of row-major
+// indices.
+func SortIntoRows(m *Matrix, frac float64) { PartialSort(m, IntoRows, frac) }
+
+// SortIntoCols partially sorts the matrix column-wise (§IV-C, Fig. 5c):
+// the lowest frac of values are sorted into the first frac of
+// column-major indices.
+func SortIntoCols(m *Matrix, frac float64) { PartialSort(m, IntoCols, frac) }
+
+// SortWithinRows partially sorts each row independently (§IV-C,
+// Fig. 5d): within every row, the lowest frac of that row's values are
+// sorted into the row's first indices.
+func SortWithinRows(m *Matrix, frac float64) { PartialSort(m, WithinRows, frac) }
 
 // SortFully sorts every element ascending in row-major order, the
 // starting point of the sparsity-after-sorting experiment (Fig. 6b).
@@ -429,21 +502,40 @@ func RandomBitFlipsTouched(m *Matrix, src *rng.Source, p float64) (touched []int
 		return nil, false
 	}
 	// Geometric skipping over the matrix's global bit stream: the gap
-	// between successive flips is Geometric(p) by inversion sampling.
+	// between successive flips is Geometric(p) by inversion sampling,
+	// one uniform per flip (geomSkip), most of them read from a table.
+	lnq := math.Log(1 - p)
+	if lnq == 0 {
+		// 1-p rounds to 1 (p ≤ 2⁻⁵⁴), where the skip is NaN or -Inf.
+		// The paper's 2048² FP32 operands hold 2²⁷ bits, so such a p
+		// flips one with probability below 2⁻²⁷: flip nothing and draw
+		// nothing.
+		return nil, true
+	}
 	// The expected list length is p·width per element; when that is
 	// already past the density cutoff, flip without enumerating.
 	track := DeltaDenseFrac*p*float64(width) <= 1
 	total := len(m.Bits) * width
 	shift := uint(bits.TrailingZeros(uint(width))) // widths are powers of two
 	mask := width - 1
-	lnq := math.Log(1 - p)
+	tab := skipPool.Get().(*skipTable)
+	defer skipPool.Put(tab)
+	skips, drop := tab.build(lnq, p*float64(total))
 	pos := 0
 	for {
-		skip := math.Floor(math.Log(1-src.Float64()) / lnq)
-		if skip >= float64(total-pos) {
+		j := src.Uint64() >> 11
+		skip := int(skips[j>>drop])
+		if skip < 0 {
+			s := geomSkip(j, lnq)
+			if s >= float64(total-pos) {
+				return touched, track
+			}
+			skip = int(s)
+		}
+		if skip >= total-pos {
 			return touched, track
 		}
-		pos += int(skip)
+		pos += skip
 		m.Bits[pos>>shift] ^= 1 << uint(pos&mask)
 		if track {
 			touched = append(touched, int32(pos>>shift))
@@ -453,6 +545,69 @@ func RandomBitFlipsTouched(m *Matrix, src *rng.Source, p float64) (touched []int
 			return touched, track
 		}
 	}
+}
+
+// geomSkip is the geometric flip path's skip for the 53-bit uniform j,
+// u = j/2⁵³ as rng.Source.Float64 forms it: floor(ln(1-u)/lnq).
+func geomSkip(j uint64, lnq float64) float64 {
+	return math.Floor(math.Log(1-float64(j)/(1<<53)) / lnq)
+}
+
+// skipBuckets bounds a skip table: 4096 buckets index the top 12 bits
+// of the uniform. skipMargin widens a bucket before it may hold a skip
+// (see skipTable).
+const (
+	skipBuckets = 1 << 12
+	skipMargin  = 1 << 20
+)
+
+// skipTable maps the top bits of a flip draw's 53-bit uniform to the
+// skip that the whole bucket of uniforms under them gives, or to -1
+// where the draw evaluates geomSkip.
+//
+// A bucket [lo, hi] holds a skip only when geomSkip(lo-skipMargin) and
+// geomSkip(hi+skipMargin) agree, both ends inside [0, 2⁵³). Then every j
+// in the bucket agrees too. 1-u is exact, so moving j by the margin
+// moves ln(1-u) by at least 2⁻³³, while |ln(1-u)| < 37 puts math.Log's
+// error of under 1 ulp below 2⁻⁴⁷: the computed logarithm decreases
+// strictly from the widened low end to j to the widened high end.
+// Dividing by the negative lnq, correctly rounded, and taking the floor
+// are both monotone, so j's skip lies between two equal ones. The
+// margin is 2¹³ times wider than that error needs.
+type skipTable [skipBuckets]int32
+
+var skipPool = sync.Pool{New: func() any { return new(skipTable) }}
+
+// build fills a prefix of t for one call of the geometric flip path
+// and returns it with the shift that takes a 53-bit uniform to its
+// bucket. A bucket costs two logarithms to build, so the table has at
+// most an eighth as many buckets as the call expects draws (a power of
+// two up to skipBuckets): the build costs at most a quarter of the
+// logarithms the draws would. A bucket spans about 1/(buckets·p)
+// skips, so with c = buckets·p, about 1-(1+ln c)/c of the draws find a
+// skip; below c = 4 that is under 40 %, too few to repay the build,
+// and the table shrinks to one bucket, which holds no skip.
+func (t *skipTable) build(lnq, draws float64) ([]int32, uint) {
+	n := skipBuckets
+	for n > 1 && float64(8*n) > draws {
+		n >>= 1
+	}
+	if float64(n)*-lnq < 4 {
+		n = 1
+	}
+	drop := uint(53 - bits.TrailingZeros(uint(n)))
+	width := uint64(1) << drop
+	for i := range t[:n] {
+		t[i] = -1
+		lo, hi := uint64(i)*width, uint64(i+1)*width-1
+		if lo < skipMargin || hi+skipMargin >= 1<<53 {
+			continue
+		}
+		if s := geomSkip(lo-skipMargin, lnq); s == geomSkip(hi+skipMargin, lnq) {
+			t[i] = int32(s)
+		}
+	}
+	return t[:n], drop
 }
 
 // RandomizeLSBs replaces the n least significant bits of every element

@@ -208,9 +208,13 @@ func TestSparsifyReusesScratch(t *testing.T) {
 	}
 }
 
-// BenchmarkTransform times the random transforms of Figs. 4 and 6 on
-// one 512² FP16 operand: the dense (p ≥ ¼) and geometric bit-flip
-// paths, sparsify's partial shuffle and LSB randomization.
+// BenchmarkTransform times the transforms of Figs. 4–6 on one 512²
+// operand: on FP16, the dense (p ≥ ¼) and geometric bit-flip paths,
+// sparsify's partial shuffle and LSB randomization; on FP32, one 50 %
+// SortIntoRows of a fresh copy of the operand (sort-rows), and one
+// full sort with the four nonzero fractions of a Fig. 5 panel derived
+// from it, as a campaign Run builds a panel's prefixes
+// (sort-fractions).
 func BenchmarkTransform(b *testing.B) {
 	cases := []struct {
 		name string
@@ -232,4 +236,24 @@ func BenchmarkTransform(b *testing.B) {
 			}
 		})
 	}
+	orig := New(FP32, 512, 512)
+	FillGaussian(orig, rng.New(1), 0, 210)
+	b.Run("sort-rows", func(b *testing.B) {
+		m := orig.Clone()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(m.Bits, orig.Bits)
+			SortIntoRows(m, 0.5)
+		}
+	})
+	b.Run("sort-fractions", func(b *testing.B) {
+		full, dst := New(FP32, 512, 512), New(FP32, 512, 512)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			FullSort(full, orig, IntoRows)
+			for _, f := range []float64{0.25, 0.5, 0.75, 1} {
+				DerivePartialSort(dst, orig, full, IntoRows, f)
+			}
+		}
+	})
 }

@@ -276,9 +276,7 @@ func applyStage(p Pattern, st stage) (Pattern, error) {
 			return Pattern{}, fmt.Errorf("sort requires a kind (rows|cols|withinrows)")
 		}
 		kind := SortKind(strings.ToLower(st.pos[0]))
-		switch kind {
-		case SortRows, SortCols, SortWithinRows:
-		default:
+		if _, ok := placements[kind]; !ok {
 			return Pattern{}, fmt.Errorf("unknown sort kind %q", st.pos[0])
 		}
 		frac, err := st.numArg("frac", 1, 1, false)

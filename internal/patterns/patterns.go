@@ -41,6 +41,12 @@ type Pattern struct {
 	PrepName string
 	// Prep runs the prefix, or is nil when PrepName is empty.
 	Prep func(m *matrix.Matrix)
+	// PrepSort is set when the prefix is exactly one partial sort
+	// (Sorted directly on a generator): its placement and fraction. A
+	// runner can then derive the prefix of every fraction from one
+	// full sort of the base (matrix.FullSort, then
+	// matrix.DerivePartialSort); Prep stays the reference.
+	PrepSort *SortStep
 	// Transform runs the transform chain after the prefix, or is nil
 	// when nothing follows the generation stage and the prefix.
 	Transform func(m *matrix.Matrix, src *rng.Source)
@@ -113,7 +119,7 @@ func (p Pattern) thenPure(name string, f func(m *matrix.Matrix)) Pattern {
 		prevFill(m, src)
 		f(m)
 	}
-	np.PrepName, np.Prep = name, f
+	np.PrepName, np.Prep, np.PrepSort = name, f, nil
 	if prevPrep != nil {
 		np.PrepName = p.PrepName + "|" + name
 		np.Prep = func(m *matrix.Matrix) {
@@ -273,21 +279,34 @@ const (
 	SortWithinRows SortKind = "withinrows"
 )
 
+// placements maps each SortKind to the matrix sort it runs.
+var placements = map[SortKind]matrix.Placement{
+	SortRows:       matrix.IntoRows,
+	SortCols:       matrix.IntoCols,
+	SortWithinRows: matrix.WithinRows,
+}
+
+// SortStep is one partial sort: where it places the lowest values and
+// the fraction of values it places.
+type SortStep struct {
+	Placement matrix.Placement
+	Frac      float64
+}
+
 // Sorted applies a partial sort (Fig. 5) after the base pattern.
 func (p Pattern) Sorted(kind SortKind, frac float64) Pattern {
-	return p.thenPure(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
+	pl, ok := placements[kind]
+	np := p.thenPure(fmt.Sprintf("sort(%s,%g%%)", kind, frac*100),
 		func(m *matrix.Matrix) {
-			switch kind {
-			case SortRows:
-				matrix.SortIntoRows(m, frac)
-			case SortCols:
-				matrix.SortIntoCols(m, frac)
-			case SortWithinRows:
-				matrix.SortWithinRows(m, frac)
-			default:
+			if !ok {
 				panic(fmt.Sprintf("patterns: unknown sort kind %q", kind))
 			}
+			matrix.PartialSort(m, pl, frac)
 		})
+	if ok && p.Prep == nil && p.Transform == nil {
+		np.PrepSort = &SortStep{Placement: pl, Frac: frac}
+	}
+	return np
 }
 
 // Sparse zeroes a random fraction of elements (Fig. 6a/6b).

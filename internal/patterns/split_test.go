@@ -97,3 +97,49 @@ func TestParsedPatternsCarrySplit(t *testing.T) {
 		t.Errorf("thenTracked dropped the prefix: prep %q", r.PrepName)
 	}
 }
+
+// TestPrepSort checks that PrepSort marks exactly the prefixes that
+// are one partial sort, with its placement and fraction, and that such
+// a prefix derived from a full sort of the base (what a runner caches)
+// equals Prep on the base.
+func TestPrepSort(t *testing.T) {
+	cases := []struct {
+		p    Pattern
+		want *SortStep
+	}{
+		{GaussianDefault().Sorted(SortRows, 0.25), &SortStep{matrix.IntoRows, 0.25}},
+		{GaussianDefault().Sorted(SortCols, 0.75), &SortStep{matrix.IntoCols, 0.75}},
+		{GaussianDefault().Sorted(SortWithinRows, 0.5), &SortStep{matrix.WithinRows, 0.5}},
+		{GaussianDefault().Sorted(SortRows, 1).Sparse(0.3), &SortStep{matrix.IntoRows, 1}},
+		{FromSet(5, 0, 210).Sorted(SortCols, 0).BitFlips(0.1), &SortStep{matrix.IntoCols, 0}},
+		{GaussianDefault().Sorted(SortRows, 0.5).ZeroMSBs(2), nil},
+		{GaussianDefault().ZeroLSBs(3).Sorted(SortRows, 0.5), nil},
+		{GaussianDefault().Sorted(SortRows, 0.5).Sorted(SortCols, 0.5), nil},
+		{GaussianDefault().Sparse(0.2).Sorted(SortRows, 1), nil},
+		{GaussianDefault().ZeroLSBs(3), nil},
+		{GaussianDefault(), nil},
+	}
+	for _, c := range cases {
+		t.Run(c.p.Name, func(t *testing.T) {
+			got := c.p.PrepSort
+			if (got == nil) != (c.want == nil) || got != nil && *got != *c.want {
+				t.Fatalf("PrepSort = %+v, want %+v", got, c.want)
+			}
+			if got == nil {
+				return
+			}
+			for _, dt := range matrix.ExtendedDTypes {
+				base := matrix.New(dt, 13, 11)
+				c.p.BaseFill(base, rng.New(7))
+				want := base.Clone()
+				c.p.Prep(want)
+				full, derived := matrix.New(dt, 13, 11), matrix.New(dt, 13, 11)
+				matrix.FullSort(full, base, got.Placement)
+				matrix.DerivePartialSort(derived, base, full, got.Placement, got.Frac)
+				if !derived.Equal(want) {
+					t.Errorf("%v: prefix derived from the full sort differs from Prep", dt)
+				}
+			}
+		})
+	}
+}

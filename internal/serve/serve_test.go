@@ -454,6 +454,36 @@ func TestPredictRejectsNaNPattern(t *testing.T) {
 	}
 }
 
+// TestPredictTinyFlipRate: for a flip rate p ≤ 2⁻⁵⁴, 1-p rounds to 1,
+// and the geometric flip path used to index the matrix at -2⁵⁸ on a
+// pool worker, which has no recover, so one request ended the
+// process. Such a rate flips nothing; the answer is a 200, and the
+// server keeps answering.
+func TestPredictTinyFlipRate(t *testing.T) {
+	s := NewCore(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	for _, pattern := range []string{"gaussian(default) | flip(1e-17)", "gaussian(default) | flip(5e-17)", "gaussian(default)"} {
+		buf, _ := json.Marshal(PredictRequest{Pattern: pattern, DType: "FP16", Size: 32})
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		var out bytes.Buffer
+		_, err = out.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		var pr PredictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(out.Bytes(), &pr) != nil || pr.SimulatedW <= 0 {
+			t.Errorf("%s: status %d, want 200 with a simulated power: %s", pattern, resp.StatusCode, out.Bytes())
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := NewCore(testConfig())
 	defer s.Close()
