@@ -313,11 +313,12 @@ func place(m *Matrix, seq []uint32, pl Placement) {
 }
 
 // FullSort writes into dst, of src's shape, the elements of src sorted
-// ascending by value and, among equal values, by original position:
-// over the whole matrix in row-major order for IntoRows and IntoCols,
-// which share it, or each row on its own for WithinRows. It is the one
-// sort that every fraction of pl's partial sort of src derives from
-// (DerivePartialSort).
+// ascending by value (NaN patterns by their raw bits) and, among equal
+// values, by original position: over the whole matrix in row-major
+// order for IntoRows and IntoCols, which share it, or each row on its
+// own for WithinRows. It is the one sort that every fraction of pl's
+// partial sort of src derives from (DerivePartialSort). dst must not
+// overlap src.
 func FullSort(dst, src *Matrix, pl Placement) {
 	key := orderKeyOf(src.DType)
 	w := sortPool.Get().(*sortWork)
