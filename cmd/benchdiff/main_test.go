@@ -177,6 +177,8 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkGenerate/gaussian",
 		"BenchmarkTransform/sort-rows",
 		"BenchmarkTransform/sort-fractions",
+		"BenchmarkWalk/FP16",
+		"BenchmarkNorm/FillNorm",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

@@ -275,24 +275,30 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 		}
 		return g.ms[i]
 	}
+	genFull := func(pl matrix.Placement) func(*baseEntry) *matrix.Matrix {
+		return func(*baseEntry) *matrix.Matrix {
+			base := cache.get(baseAt, genBase).m
+			f := cache.newMatrix(base.DType, size)
+			matrix.FullSort(f, base, pl)
+			return f
+		}
+	}
+	stage := r.prefixStage(pat, baseAt)
 	var e *baseEntry
-	if pat.Prep == nil {
+	switch st := pat.PrepSort; {
+	case stage == baseAt:
 		e = cache.get(baseAt, genBase)
-	} else {
+	case st != nil && stage == fullSortKey(baseAt, st.Placement):
+		e = cache.get(stage, genFull(st.Placement))
+	default:
 		// The prefix is built once, from the base: derived from the
 		// base's full sort when it is one partial sort, else by Prep
 		// on a clone.
-		prepAt := baseAt
-		prepAt.prep = pat.PrepName
-		e = cache.get(prepAt, func(*baseEntry) *matrix.Matrix {
+		e = cache.get(stage, func(*baseEntry) *matrix.Matrix {
 			base := cache.get(baseAt, genBase).m
 			m := cache.newMatrix(base.DType, size)
-			if st := pat.PrepSort; st != nil {
-				full := cache.get(fullSortKey(baseAt, st.Placement), func(*baseEntry) *matrix.Matrix {
-					f := cache.newMatrix(base.DType, size)
-					matrix.FullSort(f, base, st.Placement)
-					return f
-				}).m
+			if st != nil {
+				full := cache.get(fullSortKey(baseAt, st.Placement), genFull(st.Placement)).m
 				matrix.DerivePartialSort(m, base, full, st.Placement, st.Frac)
 				return m
 			}
@@ -323,6 +329,30 @@ func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string,
 		return m, st.DeltaColScan(base, m, touched), true
 	}
 	return m, st.DeltaRowScan(base, m, touched), true
+}
+
+// prefixStage returns the key of the cached matrix that pat's prefix
+// yields for the base at baseAt, which equals it bit for bit: the base
+// itself when there is no prefix or it changes no bit (PrepNoop, or a
+// sort that places none of the Run's size×size values); the base's
+// full sort when the prefix is a sort that places all of them in
+// order, into rows or within rows (IntoCols transposes its
+// placement); else the prefix's own entry. Reading the base or full
+// sort costs no copy of it and no wait on a derive pass.
+func (r *runner) prefixStage(pat patterns.Pattern, baseAt baseKey) baseKey {
+	if st := pat.PrepSort; st != nil {
+		switch k, n := matrix.SortCount(r.cfg.Size, r.cfg.Size, st.Placement, st.Frac); {
+		case k == 0:
+			return baseAt
+		case k == n && st.Placement != matrix.IntoCols:
+			return fullSortKey(baseAt, st.Placement)
+		}
+	}
+	if pat.Prep == nil || pat.PrepNoop {
+		return baseAt
+	}
+	baseAt.prep = pat.PrepName
+	return baseAt
 }
 
 // generateClasses runs pat's generation stage once for several

@@ -105,3 +105,62 @@ func BenchmarkGenerate(b *testing.B) {
 		})
 	}
 }
+
+// TestPrefixStageReadsEqualEntries pins which cached matrix a prefix
+// reads (prefixStage). A prefix that changes no bit reads the base
+// entry, whose generation pass then builds its row statistics: a sort
+// that places none of the values (round(frac·n) = 0), zerolsb(0) and
+// zeromsb(0). A sort that places every value into rows or within rows
+// reads the full-sort entry it equals. Every other prefix, a full
+// IntoCols sort among them, gets an entry of its own. Every matrix
+// and its statistics still equal Fill and ScanA.
+func TestPrefixStageReadsEqualEntries(t *testing.T) {
+	const size = 6 // 36 values, 6 per row
+	g := patterns.GaussianDefault()
+	for _, c := range []struct {
+		pat     patterns.Pattern
+		prep    string // the stage read: "" for the base
+		entries int    // cache entries built: the base, a full sort, a prefix
+	}{
+		{g, "", 1},
+		{g.Sorted(patterns.SortRows, 0), "", 1},
+		{g.Sorted(patterns.SortRows, 0.01), "", 1},
+		{g.Sorted(patterns.SortCols, 0), "", 1},
+		{g.Sorted(patterns.SortWithinRows, 0.05), "", 1},
+		{g.ZeroLSBs(0), "", 1},
+		{g.ZeroMSBs(0), "", 1},
+		{g.ZeroLSBs(0).ZeroMSBs(0), "", 1},
+		{g.Sorted(patterns.SortRows, 1), "fullsort", 2},
+		{g.Sorted(patterns.SortRows, 0.99), "fullsort", 2},
+		{g.Sorted(patterns.SortWithinRows, 1), "fullsort(withinrows)", 2},
+		{g.Sorted(patterns.SortWithinRows, 0.95), "fullsort(withinrows)", 2},
+		{g.Sorted(patterns.SortCols, 1), "sort(cols,100%)", 3},
+		{g.Sorted(patterns.SortRows, 0.5), "sort(rows,50%)", 3},
+		{g.ZeroLSBs(3), "zerolsb(3)", 2},
+		{g.ZeroLSBs(0).ZeroMSBs(2), "zerolsb(0)|zeromsb(2)", 2},
+	} {
+		pat := c.pat
+		exp := Experiment{ID: "prefix", Points: []Point{{Pattern: func(matrix.DType) patterns.Pattern { return pat }}}}
+		r, _ := newRunner(exp, Config{Size: size, Seeds: 1, DTypes: []matrix.DType{matrix.FP16}}.withDefaults())
+		if got, want := r.scanned[pat.BaseName], c.prep == ""; got != want {
+			t.Errorf("%s: base statistics built %v, want %v", pat.Name, got, want)
+		}
+		m, st, own := r.materialize(pat, matrix.FP16, "A", 0, 7, false)
+		at := baseKey{class: matrix.FP16, side: "A", stageName: stageName{base: pat.BaseName, prep: c.prep}}
+		if e := r.cache.entries[at]; e == nil || e.m != m || own {
+			t.Errorf("%s: does not read the %q entry", pat.Name, c.prep)
+		}
+		if len(r.cache.entries) != c.entries {
+			t.Errorf("%s: %d cache entries, want %d", pat.Name, len(r.cache.entries), c.entries)
+		}
+		want := matrix.New(matrix.FP16, size, size)
+		pat.Fill(want, rng.Derive(7, "A/"+pat.BaseName))
+		if !m.Equal(want) {
+			t.Errorf("%s: bits differ from Fill", pat.Name)
+		}
+		if wantSt := activity.ScanA(want); !reflect.DeepEqual(st, wantSt) {
+			t.Errorf("%s: stats %+v, ScanA %+v", pat.Name, *st, *wantSt)
+		}
+		r.cache.release()
+	}
+}

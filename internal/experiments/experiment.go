@@ -183,9 +183,10 @@ type runner struct {
 	// it, ordered: the multi-class generation builds all of them.
 	classes map[string][]matrix.DType
 	// scanned holds the base names whose multi-class generation also
-	// builds row-stream statistics: those some point reads without a
-	// prefix. A base read only through prefixes never reads its own
-	// statistics; a later reader would scan it.
+	// builds row-stream statistics: those some point reads directly,
+	// without a prefix or through one that changes no bit
+	// (prefixStage). A base read only through other prefixes never
+	// reads its own statistics; a later reader would scan it.
 	scanned map[string]bool
 
 	outs []runOutcome
@@ -336,39 +337,7 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		return nil, fmt.Errorf("experiments: %s has no points", exp.ID)
 	}
 
-	// Per-Run base-matrix cache, so transform variants across points
-	// (and datatypes of the same encoding class) share one generation
-	// and one run of each RNG-free prefix per (seed, side).
-	r := &runner{
-		cfg:     cfg,
-		exp:     exp,
-		cache:   newBaseCache(),
-		classes: map[string][]matrix.DType{},
-		scanned: map[string]bool{},
-		outs:    make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
-		errs:    make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
-	}
-	// A pattern with Rows generates its base for every encoding class
-	// that uses the base name in one pass. The classes are ordered for
-	// a deterministic generation layout.
-	groups := make([][][]int, len(exp.Points))
-	for pi, pt := range exp.Points {
-		groups[pi] = dtypeGroups(pt, cfg.DTypes)
-		for _, dis := range groups[pi] {
-			dt := cfg.DTypes[dis[0]]
-			pat := pt.Pattern(dt)
-			name := pat.BaseName
-			if cl := encClass(dt); !slices.Contains(r.classes[name], cl) {
-				r.classes[name] = append(r.classes[name], cl)
-			}
-			if pat.Prep == nil {
-				r.scanned[name] = true
-			}
-		}
-	}
-	for _, classes := range r.classes {
-		slices.Sort(classes)
-	}
+	r, groups := newRunner(exp, cfg)
 	// Jobs go out datatype-major: workers then build different points'
 	// bases side by side, where point-major order would have one wait
 	// on the other's multi-class generation of the same base.
@@ -433,6 +402,45 @@ func Run(exp Experiment, cfg Config) (*FigureResult, error) {
 		fr.Series[dt] = cells
 	}
 	return fr, nil
+}
+
+// newRunner returns the shared state of a Run of exp under cfg (with
+// its defaults applied), and each point's datatype groups.
+func newRunner(exp Experiment, cfg Config) (*runner, [][][]int) {
+	// Per-Run base-matrix cache, so transform variants across points
+	// (and datatypes of the same encoding class) share one generation
+	// and one run of each RNG-free prefix per (seed, side).
+	r := &runner{
+		cfg:     cfg,
+		exp:     exp,
+		cache:   newBaseCache(),
+		classes: map[string][]matrix.DType{},
+		scanned: map[string]bool{},
+		outs:    make([]runOutcome, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
+		errs:    make([]error, len(cfg.DTypes)*len(exp.Points)*cfg.Seeds),
+	}
+	// A pattern with Rows generates its base for every encoding class
+	// that uses the base name in one pass. The classes are ordered for
+	// a deterministic generation layout.
+	groups := make([][][]int, len(exp.Points))
+	for pi, pt := range exp.Points {
+		groups[pi] = dtypeGroups(pt, cfg.DTypes)
+		for _, dis := range groups[pi] {
+			dt := cfg.DTypes[dis[0]]
+			pat := pt.Pattern(dt)
+			name := pat.BaseName
+			if cl := encClass(dt); !slices.Contains(r.classes[name], cl) {
+				r.classes[name] = append(r.classes[name], cl)
+			}
+			if at := (baseKey{stageName: stageName{base: name}}); r.prefixStage(pat, at) == at {
+				r.scanned[name] = true
+			}
+		}
+	}
+	for _, classes := range r.classes {
+		slices.Sort(classes)
+	}
+	return r, groups
 }
 
 // fanOut calls run(idx) for every idx in [0, n) on at most workers

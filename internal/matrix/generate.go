@@ -55,7 +55,12 @@ func EncodeGaussianStream(dst []uint32, raw []float64, dt DType, mean, std float
 		}
 	case FP16, FP16T:
 		for j, r := range raw {
-			dst[j] = uint32(softfloat.F32ToF16(float32(mean + std*r)))
+			f := float32(mean + std*r)
+			h, ok := softfloat.F32ToF16Normal(f)
+			if !ok {
+				h = softfloat.F32ToF16(f)
+			}
+			dst[j] = uint32(h)
 		}
 	case BF16T:
 		for j, r := range raw {

@@ -291,13 +291,23 @@ func PartialSort(m *Matrix, pl Placement, frac float64) {
 }
 
 // sortCount is how many of the lowest values pl's partial sort of m by
-// frac places: round(frac·n) of each row's n for WithinRows, of the
-// whole matrix's otherwise.
+// frac places (SortCount).
 func sortCount(m *Matrix, pl Placement, frac float64) int {
+	k, _ := SortCount(m.Rows, m.Cols, pl, frac)
+	return k
+}
+
+// SortCount returns how many of the lowest values pl's partial sort of
+// a rows×cols matrix by frac places, k, and out of how many, n:
+// round(frac·n) of each row's n = cols for WithinRows, of the whole
+// matrix's n = rows·cols otherwise. At k = 0 the sort changes no bit;
+// at k = n it writes FullSort's result for IntoRows and WithinRows.
+func SortCount(rows, cols int, pl Placement, frac float64) (k, n int) {
+	n = rows * cols
 	if pl == WithinRows {
-		return countOf(frac, m.Cols)
+		n = cols
 	}
-	return countOf(frac, len(m.Bits))
+	return countOf(frac, n), n
 }
 
 // place writes a whole-matrix partial sort's element sequence into m:

@@ -47,6 +47,11 @@ type Pattern struct {
 	// full sort of the base (matrix.FullSort, then
 	// matrix.DerivePartialSort); Prep stays the reference.
 	PrepSort *SortStep
+	// PrepNoop is set when no step of the prefix changes a bit of any
+	// matrix (zerolsb(0), zeromsb(0)), so a runner can read the base
+	// in its place. A sort changes no bit when it places none of a
+	// matrix's values, which depends on the size: PrepSort tells.
+	PrepNoop bool
 	// Transform runs the transform chain after the prefix, or is nil
 	// when nothing follows the generation stage and the prefix.
 	Transform func(m *matrix.Matrix, src *rng.Source)
@@ -105,10 +110,11 @@ func (p Pattern) Then(name string, f func(m *matrix.Matrix, src *rng.Source)) Pa
 	return np
 }
 
-// thenPure composes a step that draws no random numbers. Directly
-// after generation or another such step it joins the prefix (Prep);
-// after a random step it is an ordinary untrackable transform.
-func (p Pattern) thenPure(name string, f func(m *matrix.Matrix)) Pattern {
+// thenPure composes a step that draws no random numbers; noop marks
+// one that changes no bit. Directly after generation or another such
+// step it joins the prefix (Prep); after a random step it is an
+// ordinary untrackable transform.
+func (p Pattern) thenPure(name string, f func(m *matrix.Matrix), noop bool) Pattern {
 	if p.Transform != nil {
 		return p.Then(name, func(m *matrix.Matrix, _ *rng.Source) { f(m) })
 	}
@@ -120,6 +126,7 @@ func (p Pattern) thenPure(name string, f func(m *matrix.Matrix)) Pattern {
 		f(m)
 	}
 	np.PrepName, np.Prep, np.PrepSort = name, f, nil
+	np.PrepNoop = noop && (prevPrep == nil || p.PrepNoop)
 	if prevPrep != nil {
 		np.PrepName = p.PrepName + "|" + name
 		np.Prep = func(m *matrix.Matrix) {
@@ -182,11 +189,7 @@ func gaussian(name string, mean float64, std func(matrix.DType) float64) Pattern
 		matrix.FillGaussian(m, src, mean, std(m.DType))
 	})
 	p.Rows = func(src *rng.Source) (func([]float64), func([]uint32, []float64, matrix.DType)) {
-		next := func(raw []float64) {
-			for j := range raw {
-				raw[j] = src.NormFloat64()
-			}
-		}
+		next := func(raw []float64) { src.FillNorm(raw) }
 		encode := func(dst []uint32, raw []float64, dt matrix.DType) {
 			matrix.EncodeGaussianStream(dst, raw, dt, mean, std(dt))
 		}
@@ -302,7 +305,7 @@ func (p Pattern) Sorted(kind SortKind, frac float64) Pattern {
 				panic(fmt.Sprintf("patterns: unknown sort kind %q", kind))
 			}
 			matrix.PartialSort(m, pl, frac)
-		})
+		}, false)
 	if ok && p.Prep == nil && p.Transform == nil {
 		np.PrepSort = &SortStep{Placement: pl, Frac: frac}
 	}
@@ -321,11 +324,11 @@ func (p Pattern) Sparse(frac float64) Pattern {
 // ZeroLSBs clears the n least significant bits (Fig. 6c).
 func (p Pattern) ZeroLSBs(n int) Pattern {
 	return p.thenPure(fmt.Sprintf("zerolsb(%d)", n),
-		func(m *matrix.Matrix) { matrix.ZeroLSBs(m, n) })
+		func(m *matrix.Matrix) { matrix.ZeroLSBs(m, n) }, n <= 0)
 }
 
 // ZeroMSBs clears the n most significant bits (Fig. 6d).
 func (p Pattern) ZeroMSBs(n int) Pattern {
 	return p.thenPure(fmt.Sprintf("zeromsb(%d)", n),
-		func(m *matrix.Matrix) { matrix.ZeroMSBs(m, n) })
+		func(m *matrix.Matrix) { matrix.ZeroMSBs(m, n) }, n <= 0)
 }

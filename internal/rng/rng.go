@@ -171,28 +171,78 @@ func (s *Source) NormFloat64() float64 {
 			}
 			return x
 		}
-		if i == 0 {
-			// Tail beyond R: Marsaglia's exponential-rejection sampler.
-			neg := u64&0x100 != 0
-			for {
-				x := -math.Log(1-s.Float64()) / zigR
-				y := -math.Log(1 - s.Float64())
-				if y+y >= x*x {
-					if neg {
-						return -(zigR + x)
-					}
-					return zigR + x
-				}
-			}
-		}
-		// Wedge between the rectangle and the density curve.
-		if zigF[i]+s.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
-			if u64&0x100 != 0 {
-				return -x
-			}
-			return x
+		if v, ok := s.normSlow(u64, x); ok {
+			return v
 		}
 	}
+}
+
+// normSlow finishes a draw u64 whose magnitude x fell outside its
+// layer's rectangle: the tail beyond R for the base layer, else the
+// wedge test. ok is false when the wedge rejects x, and the variate
+// then comes from a fresh draw.
+func (s *Source) normSlow(u64 uint64, x float64) (v float64, ok bool) {
+	i := int(u64 & 0xFF)
+	if i == 0 {
+		// Tail beyond R: Marsaglia's exponential-rejection sampler.
+		neg := u64&0x100 != 0
+		for {
+			x := -math.Log(1-s.Float64()) / zigR
+			y := -math.Log(1 - s.Float64())
+			if y+y >= x*x {
+				if neg {
+					return -(zigR + x), true
+				}
+				return zigR + x, true
+			}
+		}
+	}
+	// Wedge between the rectangle and the density curve.
+	if zigF[i]+s.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
+		if u64&0x100 != 0 {
+			return -x, true
+		}
+		return x, true
+	}
+	return 0, false
+}
+
+// FillNorm writes the next len(dst) standard Gaussian variates to dst:
+// exactly what len(dst) calls to NormFloat64 would return, leaving the
+// stream where they would. The state stays in registers across the
+// fast path, as in Fill; a draw outside its layer's rectangle stores
+// it and finishes through NormFloat64's wedge and tail code.
+//
+// The fast path sets the sign by OR-ing the draw's bit 8 into bit 63.
+// Its magnitude x = float64(u64>>11)·zigXScale[i] is +0 or positive,
+// so that equals NormFloat64's -x bit for bit, ±0 included.
+func (s *Source) FillNorm(dst []float64) {
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for i := range dst {
+		u64 := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+
+		l := u64 & 0xFF
+		x := float64(u64>>11) * zigXScale[l]
+		if x < zigX[l+1] {
+			dst[i] = math.Float64frombits(math.Float64bits(x) | (u64&0x100)<<55)
+			continue
+		}
+		s.s = [4]uint64{s0, s1, s2, s3}
+		v, ok := s.normSlow(u64, x)
+		if !ok {
+			v = s.NormFloat64()
+		}
+		dst[i] = v
+		s0, s1, s2, s3 = s.s[0], s.s[1], s.s[2], s.s[3]
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Gaussian returns a Gaussian variate with the given mean and standard

@@ -30,15 +30,13 @@ const (
 	f16QNaN uint16 = 0x7E00
 )
 
-// FP32-side range boundaries of the binary16 conversion. F16MaxF32 and
-// F16SubnormF32 bound the FP32 magnitudes whose conversion lands in the
-// binary16 normal range; they are exported so encode hot loops can
-// hand-inline the conversion's normal path (F32ToF16 itself exceeds
-// the compiler's inlining budget) and defer the tails to F32ToF16.
+// FP32-side range boundaries of the binary16 conversion. f16MaxF32
+// and f16SubnormF32 bound the FP32 magnitudes whose conversion lands
+// in the binary16 normal range.
 const (
 	f32Infty       = uint32(255) << 23
-	F16MaxF32      = uint32(127+16) << 23
-	F16SubnormF32  = uint32(113) << 23
+	f16MaxF32      = uint32(127+16) << 23
+	f16SubnormF32  = uint32(113) << 23
 	f16DenormMagic = uint32(((127 - 15) + (23 - 10) + 1)) << 23
 )
 
@@ -48,34 +46,43 @@ const (
 // deriving FP16 inputs from generated FP32 values.
 //
 // The implementation is the branch-light magic-number formulation: the
-// normal path implements RNE with one integer add (+0xFFF plus the
-// odd-mantissa bit), and the subnormal path aligns the half mantissa at
-// the bottom of a float via one FP32 addition, whose hardware rounding
-// is exactly the RNE the conversion needs. f32ToF16Compute is the
-// field-by-field reference it is verified against.
-//
-// Only the normal-range path lives in F32ToF16 itself, keeping the
-// function within the compiler's inlining budget on the encode hot
-// loops; the range tails (subnormal/zero, overflow, NaN) take
-// f32ToF16Tail.
+// normal path (F32ToF16Normal) implements RNE with one integer add
+// (+0xFFF plus the odd-mantissa bit), and the subnormal path aligns
+// the half mantissa at the bottom of a float via one FP32 addition,
+// whose hardware rounding is exactly the RNE the conversion needs.
+// f32ToF16Compute is the field-by-field reference it is verified
+// against.
 func F32ToF16(f float32) uint16 {
+	if h, ok := F32ToF16Normal(f); ok {
+		return h
+	}
+	return f32ToF16Tail(math.Float32bits(f))
+}
+
+// F32ToF16Normal is F32ToF16 on the FP32 magnitudes that convert to
+// the binary16 normal range (up to the values that round to infinity
+// at its top): ok reports whether f is one, and h is then
+// F32ToF16(f). It fits the compiler's inlining budget, which
+// F32ToF16 with its range tails does not, so a hot loop converts in
+// registers and calls F32ToF16 only when ok is false.
+func F32ToF16Normal(f float32) (h uint16, ok bool) {
 	b := math.Float32bits(f)
 	ab := b &^ F32SignMask
 	// One unsigned compare selects the normal range [subnormal, f16Max);
-	// magnitudes below it wrap past the window and also take the tail.
-	if ab-F16SubnormF32 < F16MaxF32-F16SubnormF32 {
-		mantOdd := (ab >> 13) & 1
-		ab -= uint32(112) << 23 // re-bias exponent 127 → 15
-		ab += 0xFFF + mantOdd   // round to nearest, ties to even
-		return uint16(b>>16)&F16SignMask | uint16(ab>>13)
+	// magnitudes below it wrap past the window.
+	if ab-f16SubnormF32 >= f16MaxF32-f16SubnormF32 {
+		return 0, false
 	}
-	return f32ToF16Tail(b)
+	mantOdd := (ab >> 13) & 1
+	ab -= uint32(112) << 23 // re-bias exponent 127 → 15
+	ab += 0xFFF + mantOdd   // round to nearest, ties to even
+	return uint16(b>>16)&F16SignMask | uint16(ab>>13), true
 }
 
 func f32ToF16Tail(b uint32) uint16 {
 	sign := uint16(b>>16) & F16SignMask
 	b &^= F32SignMask
-	if b >= F16MaxF32 {
+	if b >= f16MaxF32 {
 		// Inf, NaN, or a finite value rounding past the binary16 range.
 		if b > f32Infty {
 			return sign | f16QNaN

@@ -2,6 +2,7 @@ package softfloat
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,44 @@ func TestConversionMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestF32ToF16NormalMatchesF32ToF16 holds the inlinable normal path to
+// F32ToF16 and to the field-by-field reference: over every sign and
+// exponent, with mantissas around the rounding boundaries (below, at
+// and above the tie, the tie with an odd kept bit, all ones) and over
+// random patterns, ok must hold exactly for exponents 113–142, and the
+// half must then be F32ToF16's.
+func TestF32ToF16NormalMatchesF32ToF16(t *testing.T) {
+	check := func(b uint32) {
+		t.Helper()
+		f := math.Float32frombits(b)
+		h, ok := F32ToF16Normal(f)
+		exp := b >> 23 & 0xFF
+		if want := exp >= 113 && exp <= 142; ok != want {
+			t.Fatalf("%#08x: ok = %v, want %v", b, ok, want)
+		}
+		if !ok {
+			return
+		}
+		if want := F32ToF16(f); h != want {
+			t.Fatalf("%#08x: half %#04x, F32ToF16 %#04x", b, h, want)
+		}
+		if want := f32ToF16Compute(f); h != want {
+			t.Fatalf("%#08x: half %#04x, reference %#04x", b, h, want)
+		}
+	}
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp < 256; exp++ {
+			for _, mant := range []uint32{0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7FFFFF} {
+				check(sign<<31 | exp<<23 | mant)
+			}
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 1<<16; i++ {
+		check(r.Uint32())
 	}
 }
 
