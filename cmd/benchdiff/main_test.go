@@ -179,6 +179,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkTransform/sort-fractions",
 		"BenchmarkWalk/FP16",
 		"BenchmarkNorm/FillNorm",
+		"BenchmarkCompare",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

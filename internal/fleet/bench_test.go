@@ -121,3 +121,25 @@ func BenchmarkEngineTick(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*ticks), "ns/tick")
 }
+
+// BenchmarkCompare times one comparison of every sched.All() policy
+// through PolicyRunner, as fleetsim -compare runs it: a 512-job
+// synthetic trace (200 jobs/s, sizes 128/256/512) over four A100s
+// under a 300 W cap, with the oracle warmed before the timer starts.
+// CI's bench smoke records it, with its allocations, in the
+// BENCH_<sha>.json artifact; cmd/benchdiff's default filter does not
+// gate it.
+func BenchmarkCompare(b *testing.B) {
+	cfg := compareFleet(NewModelOracle())
+	trace := compareTrace(b, 512)
+	compare := func() {
+		if _, err := sched.Compare(context.Background(), PolicyRunner(cfg, trace), sched.All()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compare()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compare()
+	}
+}

@@ -127,6 +127,11 @@ type Engine struct {
 	pending   []*Job
 	submitted int
 
+	// slab holds the admitted jobs' runJobs, which the instance queues
+	// point into. A full slab is left to those pointers and a new one
+	// started, so admission allocates once per slab, not once per job.
+	slab []runJob
+
 	// candBuf/modelOps/tlBuf are admission scratch, reused across jobs.
 	candBuf  []sched.Candidate
 	modelOps []modelOp
@@ -148,6 +153,10 @@ type Engine struct {
 
 	state State
 }
+
+// slabJobs is the capacity of each slab a live engine starts; an
+// offline replay gives its engine one slab sized to the whole trace.
+const slabJobs = 64
 
 // NewEngine validates the config and builds an empty engine: no jobs,
 // simulated time zero. Callers must install operating points (the
@@ -469,7 +478,11 @@ func (e *Engine) admit(j *Job) {
 	}
 	in := e.insts[cands[pick].Index]
 	op := e.modelOps[in.model].op
-	rj := &runJob{job: j, op: op, serviceS: float64(j.Iterations) * op.IterTimeS}
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]runJob, 0, slabJobs)
+	}
+	e.slab = append(e.slab, runJob{job: j, op: op, serviceS: float64(j.Iterations) * op.IterTimeS})
+	rj := &e.slab[len(e.slab)-1]
 	in.queue = append(in.queue, rj)
 	in.backlogS += rj.serviceS
 }

@@ -301,7 +301,7 @@ func newRunEngine(t *testing.T, cfg Config, trace *Trace) (*Engine, *[]Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, err := resolveOperatingPoints(context.Background(), eng.cfg.Oracle, tr, eng.models)
+	ops, err := resolveOperatingPoints(context.Background(), eng.cfg.Oracle, tr, eng.models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,26 +224,58 @@ func (in *instance) clocksAt(power, scale, progressed float64) clocks {
 // the offline path over the event-driven Engine: submit every job up
 // front, advance to drain.
 func Run(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
+	t, err := normalizedCopy(trace)
+	if err != nil {
+		return nil, err
+	}
+	return replay(ctx, cfg, t, new(runBuffers))
+}
+
+// normalizedCopy returns a normalized copy of the trace, leaving the
+// caller's jobs untouched.
+func normalizedCopy(trace *Trace) (*Trace, error) {
 	if trace == nil || len(trace.Jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty trace")
 	}
-	jobs := make([]Job, len(trace.Jobs))
-	copy(jobs, trace.Jobs)
-	t := &Trace{Jobs: jobs}
+	t := &Trace{Jobs: slices.Clone(trace.Jobs)}
 	if err := t.normalize(); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
 
+// runBuffers is the storage a replay needs in proportion to its job
+// count: the oracle key list, the pending queue, the run-job slab and
+// the completed results. A replay sizes each to its trace, so the
+// engine never grows them; a caller that is done with each report
+// before the next replay reuses one set.
+type runBuffers struct {
+	keys      []OpKey
+	pending   []*Job
+	slab      []runJob
+	completed []JobResult
+}
+
+// replay runs the normalized trace t through a fresh engine: resolve
+// every operating point, submit every job, advance to drain. The
+// report's JobResults is b's completed buffer, not a copy, so a caller
+// that reuses b must be done with the report first.
+func replay(ctx context.Context, cfg Config, t *Trace, b *runBuffers) (*Report, error) {
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ops, err := resolveOperatingPoints(ctx, eng.cfg.Oracle, t, eng.models)
+	n := len(t.Jobs)
+	b.keys = slices.Grow(b.keys[:0], n*len(eng.models))
+	ops, err := resolveOperatingPoints(ctx, eng.cfg.Oracle, t, eng.models, b.keys)
 	if err != nil {
 		return nil, err
 	}
 	eng.AddOperatingPoints(ops)
-	eng.completed = make([]JobResult, 0, len(t.Jobs))
+	b.pending = slices.Grow(b.pending[:0], n)
+	b.slab = slices.Grow(b.slab[:0], n)
+	b.completed = slices.Grow(b.completed[:0], n)
+	eng.pending, eng.slab, eng.completed = b.pending, b.slab, b.completed
 	for i := range t.Jobs {
 		if err := eng.Submit(&t.Jobs[i]); err != nil {
 			return nil, err
@@ -258,7 +290,11 @@ func Run(ctx context.Context, cfg Config, trace *Trace) (*Report, error) {
 			break
 		}
 	}
-	return eng.Report(), nil
+	r := eng.summary()
+	// Every job completed or failed, so both fit in the completed
+	// buffer, and the engine is done with them.
+	r.JobResults = append(eng.completed, eng.failed...)
+	return r, nil
 }
 
 // buildInstances expands the device list into per-instance state and
@@ -296,11 +332,12 @@ func buildInstances(cfg Config) ([]*instance, []string, error) {
 
 // resolveOperatingPoints asks the oracle for every (candidate model ×
 // job spec) pair the scheduler could need, in deterministic order and
-// bounded chunks. Duplicate keys across jobs are intentionally left in
-// the request stream — coalescing them is the oracle's job, and the
-// coalescing ratio is part of what a fleet run demonstrates.
-func resolveOperatingPoints(ctx context.Context, oracle Oracle, t *Trace, models []string) (map[OpKey]OperatingPoint, error) {
-	keys := make([]OpKey, 0, len(t.Jobs)*len(models))
+// bounded chunks, building the key list in keys' storage. Duplicate
+// keys across jobs are intentionally left in the request stream —
+// coalescing them is the oracle's job, and the coalescing ratio is
+// part of what a fleet run demonstrates.
+func resolveOperatingPoints(ctx context.Context, oracle Oracle, t *Trace, models []string, keys []OpKey) (map[OpKey]OperatingPoint, error) {
+	keys = keys[:0]
 	seenPinned := map[string]bool{}
 	for _, m := range models {
 		seenPinned[m] = true

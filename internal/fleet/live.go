@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // tickBatch is how many ticks the controller loop integrates per lock
@@ -260,10 +261,11 @@ func (c *Controller) onEvent(ev Event) {
 	}
 }
 
-// Submit accepts one job: normalize, resolve its operating points
-// through the oracle (outside the lock — resolution may hit a remote
-// serving instance), stamp its arrival with the engine's simulated
-// clock and queue it. It returns the assigned ID and arrival time.
+// Submit accepts one job: normalize, bound its size, resolve its
+// operating points through the oracle (outside the lock — resolution
+// may hit a remote serving instance), stamp its arrival with the
+// engine's simulated clock and queue it. It returns the assigned ID
+// and arrival time.
 func (c *Controller) Submit(ctx context.Context, req submitRequest) (submitResponse, error) {
 	job := Job{
 		ID:         req.ID,
@@ -275,6 +277,13 @@ func (c *Controller) Submit(ctx context.Context, req submitRequest) (submitRespo
 	}
 	if err := normalizeJob(&job); err != nil {
 		return submitResponse{}, &statusError{http.StatusBadRequest, err.Error()}
+	}
+	// /predict's size bound, checked before the oracle simulates the
+	// job. Offline traces keep only the lower bound, so every job
+	// accepted here still replays.
+	if job.Size > serve.DefaultMaxSize {
+		return submitResponse{}, &statusError{http.StatusBadRequest,
+			fmt.Sprintf("fleet: job %s: size %d above maximum %d", job.ID, job.Size, serve.DefaultMaxSize)}
 	}
 	keys, err := appendJobKeys(nil, &job, c.models, c.inFleet)
 	if err != nil {

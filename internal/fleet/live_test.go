@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,6 +254,49 @@ func TestLiveControllerHTTPErrors(t *testing.T) {
 	if code, b := getJSON(t, srv.URL+"/healthz"); code != http.StatusOK || !bytes.Contains(b, []byte(`"ok"`)) {
 		t.Errorf("GET /healthz = %d: %s", code, b)
 	}
+}
+
+// countingOracle counts the Resolve calls that reach its inner oracle.
+type countingOracle struct {
+	inner Oracle
+	calls atomic.Int64
+}
+
+func (o *countingOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPoint, error) {
+	o.calls.Add(1)
+	return o.inner.Resolve(ctx, keys)
+}
+
+// TestLiveSubmitSizeBound holds POST /jobs to /predict's default size
+// bound: size 513 is a 400 that never reaches the oracle, and size 512
+// is accepted.
+func TestLiveSubmitSizeBound(t *testing.T) {
+	oracle := &countingOracle{inner: &ModelOracle{SampleOutputs: 64}}
+	cfg := liveConfig()
+	cfg.Oracle = oracle
+	ctl, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	srv := httptest.NewServer(ctl.Handler())
+	defer srv.Close()
+
+	tooBig := `{"dtype": "FP16", "pattern": "constant(7)", "size": 513, "iterations": 100}`
+	if code, m := postJob(t, srv.URL, tooBig); code != http.StatusBadRequest {
+		t.Errorf("POST size 513 = %d (%v), want 400", code, m)
+	}
+	if n := oracle.calls.Load(); n != 0 {
+		t.Errorf("size 513 reached the oracle: %d Resolve calls", n)
+	}
+	largest := `{"dtype": "FP16", "pattern": "constant(7)", "size": 512, "iterations": 100}`
+	if code, m := postJob(t, srv.URL, largest); code != http.StatusOK {
+		t.Fatalf("POST size 512 = %d (%v), want 200", code, m)
+	}
+	if n := oracle.calls.Load(); n != 1 {
+		t.Errorf("size 512: %d Resolve calls, want 1", n)
+	}
+	waitDrained(t, srv.URL)
 }
 
 // TestLiveStatusCountsAndMetrics checks the /fleet/status reduction:

@@ -102,23 +102,30 @@ func (o *ModelOracle) Resolve(ctx context.Context, keys []OpKey) ([]OperatingPoi
 	}
 	o.lookups += int64(len(keys))
 
-	missing := make(map[OpKey]bool)
+	// A warm memo answers every key, so the missing set and its order
+	// are built only once some key is missing.
+	var missing map[OpKey]bool
 	for _, k := range keys {
 		if _, ok := o.memo[k]; !ok {
+			if missing == nil {
+				missing = make(map[OpKey]bool)
+			}
 			missing[k] = true
 		}
 	}
-	order := make([]OpKey, 0, len(missing))
-	for k := range missing {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].less(order[b]) })
-	for _, k := range order {
-		op, err := simulateKey(k, o.SampleOutputs)
-		if err != nil {
-			return nil, err
+	if missing != nil {
+		order := make([]OpKey, 0, len(missing))
+		for k := range missing {
+			order = append(order, k)
 		}
-		o.memo[k] = op
+		sort.Slice(order, func(a, b int) bool { return order[a].less(order[b]) })
+		for _, k := range order {
+			op, err := simulateKey(k, o.SampleOutputs)
+			if err != nil {
+				return nil, err
+			}
+			o.memo[k] = op
+		}
 	}
 
 	out := make([]OperatingPoint, len(keys))

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -44,14 +45,60 @@ func (r *Report) Outcome(policy string) sched.Outcome {
 // policy per run. Sharing one memoized Oracle in cfg across the
 // comparison is safe and cheap: operating points depend only on keys,
 // never on placement, so every policy sees identical physics.
+//
+// The runner copies and normalizes the trace once, when it is built,
+// and its runs reuse their job-proportional buffers, so a warm
+// comparison allocates per run rather than per job. It is safe for
+// concurrent use; concurrent runs take separate buffers.
 func PolicyRunner(cfg Config, trace *Trace) sched.Runner {
-	return func(ctx context.Context, p sched.Policy) (sched.Outcome, error) {
-		c := cfg
-		c.Policy = p
-		r, err := Run(ctx, c, trace)
-		if err != nil {
-			return sched.Outcome{}, err
-		}
-		return r.Outcome(p.Name()), nil
+	t, err := normalizedCopy(trace)
+	r := &policyRunner{cfg: cfg, trace: t, err: err}
+	return r.run
+}
+
+// policyRunner is PolicyRunner's state: the normalized trace, or the
+// error normalizing it, and the run buffers no run is using.
+type policyRunner struct {
+	cfg   Config
+	trace *Trace
+	err   error
+
+	mu    sync.Mutex
+	spare []*runBuffers
+}
+
+func (r *policyRunner) run(ctx context.Context, p sched.Policy) (sched.Outcome, error) {
+	if r.err != nil {
+		return sched.Outcome{}, r.err
 	}
+	b := r.buffers()
+	defer r.release(b)
+	c := r.cfg
+	c.Policy = p
+	rep, err := replay(ctx, c, r.trace, b)
+	if err != nil {
+		return sched.Outcome{}, err
+	}
+	return rep.Outcome(p.Name()), nil
+}
+
+// buffers takes a spare buffer set, or a new one when every set is in
+// use.
+func (r *policyRunner) buffers() *runBuffers {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.spare)
+	if n == 0 {
+		return new(runBuffers)
+	}
+	b := r.spare[n-1]
+	r.spare = r.spare[:n-1]
+	return b
+}
+
+// release returns a buffer set once its run's report is reduced.
+func (r *policyRunner) release(b *runBuffers) {
+	r.mu.Lock()
+	r.spare = append(r.spare, b)
+	r.mu.Unlock()
 }

@@ -107,10 +107,20 @@ type Report struct {
 
 // Report reduces the simulation state so far. It is safe to call at
 // any drain point — open throttle events are closed in the returned
-// copy without mutating engine state — but the canonical report is the
-// one taken when the engine has drained with no further submissions
-// coming, which is exactly what a replayed trace reproduces.
+// copy and the job results are copied, without mutating engine state —
+// but the canonical report is the one taken when the engine has
+// drained with no further submissions coming, which is exactly what a
+// replayed trace reproduces.
 func (e *Engine) Report() *Report {
+	r := e.summary()
+	r.JobResults = append(r.JobResults, e.completed...)
+	r.JobResults = append(r.JobResults, e.failed...)
+	return r
+}
+
+// summary is Report without JobResults; it sorts the completed results
+// by finish time in place.
+func (e *Engine) summary() *Report {
 	r := &Report{
 		PowerCapW:      e.cfg.PowerCapW,
 		AmbientC:       e.cfg.AmbientC,
@@ -171,9 +181,6 @@ func (e *Engine) Report() *Report {
 		}
 		r.Devices = append(r.Devices, dr)
 	}
-
-	r.JobResults = append(r.JobResults, e.completed...)
-	r.JobResults = append(r.JobResults, e.failed...)
 	return r
 }
 

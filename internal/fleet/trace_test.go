@@ -123,3 +123,30 @@ func TestTraceNormalizeReportsFirstInvalidPattern(t *testing.T) {
 		t.Errorf("normalize error = %v, want one naming job j2", err)
 	}
 }
+
+// FuzzReadTrace feeds ReadTrace raw bytes. It must never panic, and a
+// trace it accepts must write out to JSON that reads back and writes
+// out to the same bytes: normalization is idempotent, which is what
+// lets a dumped trace replay to the same report.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tr.WriteTrace(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, first.Bytes())
+		}
+		if err := again.WriteTrace(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("trace changed on its second round trip:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -135,22 +135,25 @@ var horizonPool = sync.Pool{New: func() any { return new(horizon) }}
 func newHorizon(timelines [][]PowerSegment, windowS, padS float64) *horizon {
 	h := horizonPool.Get().(*horizon)
 	h.windowS, h.padS = windowS, padS
-	h.bps, h.runs, h.drainS = h.bps[:0], append(h.runs[:0], 0), h.drainS[:0]
+	// The slices grow in locals and are stored back once: a store into
+	// the pooled *horizon per breakpoint would pass the write barrier.
+	bps, runs, drainS := h.bps[:0], append(h.runs[:0], 0), h.drainS[:0]
 	for _, tl := range timelines {
 		t := 0.0
 		for _, seg := range tl {
-			n := len(h.bps)
-			h.bps = h.add(h.bps, t, seg.DurationS+padS, seg.DynPowerW)
+			n := len(bps)
+			bps = h.add(bps, t, seg.DurationS+padS, seg.DynPowerW)
 			// A new run starts where a time falls below its
 			// predecessor's. A segment never ends before it starts, so
 			// only its start can begin one.
-			if n > 0 && n < len(h.bps) && h.bps[n].t < h.bps[n-1].t {
-				h.runs = append(h.runs, n)
+			if n > 0 && n < len(bps) && bps[n].t < bps[n-1].t {
+				runs = append(runs, n)
 			}
 			t += seg.DurationS + padS
 		}
-		h.drainS = append(h.drainS, t)
+		drainS = append(drainS, t)
 	}
+	h.bps, h.runs, h.drainS = bps, runs, drainS
 	h.sortByTime()
 	h.sweepPrefix()
 	return h
@@ -221,18 +224,18 @@ func mergeRuns(dst, a, b []breakpoint) {
 // sweepPrefix sweeps the committed breakpoints alone, as peakWith does,
 // and records the state before each one.
 func (h *horizon) sweepPrefix() {
-	h.pre = h.pre[:0]
+	bps, pre := h.bps, h.pre[:0]
 	var s sweepState
-	for i, b := range h.bps {
-		h.pre = append(h.pre, s)
+	for i, b := range bps {
+		pre = append(pre, s)
 		s.cur += b.dw
-		if i+1 == len(h.bps) || h.bps[i+1].t != b.t {
+		if i+1 == len(bps) || bps[i+1].t != b.t {
 			if s.cur > s.peak {
 				s.peak = s.cur
 			}
 		}
 	}
-	h.pre = append(h.pre, s)
+	h.pre = append(pre, s)
 }
 
 // peakWith sweeps the committed breakpoints with one extra padded

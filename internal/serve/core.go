@@ -62,13 +62,13 @@ type Resolved struct {
 
 // ResolveRequest validates a predict request into its executable
 // parts, applying the Default* values to empty fields and rejecting
-// sizes outside [8, maxSize] (0 = the serving default, 512). Core and
+// sizes outside [8, maxSize] (0 = DefaultMaxSize). Core and
 // the cluster router share this exact code path, so a request invalid
 // at the router fails with byte-identical wording to a request invalid
 // at a shard.
 func ResolveRequest(req PredictRequest, maxSize int) (Resolved, error) {
 	if maxSize <= 0 {
-		maxSize = Config{}.withDefaults().MaxSize
+		maxSize = DefaultMaxSize
 	}
 	if req.Device == "" {
 		req.Device = DefaultDevice

@@ -44,6 +44,9 @@ const (
 	DefaultDType   = "FP16"
 	DefaultPattern = "gaussian(default)"
 	DefaultSize    = 256
+	// DefaultMaxSize is the largest GEMM dimension a Core accepts
+	// unless Config.MaxSize says otherwise.
+	DefaultMaxSize = 512
 )
 
 // Config parameterizes a Core. The zero value serves with sensible
@@ -57,7 +60,7 @@ type Config struct {
 	QueueDepth int
 	// MaxSize rejects GEMM sizes above this bound — simulation cost
 	// grows as size³ and a service must not let one request buy
-	// unbounded compute (default 512).
+	// unbounded compute (default DefaultMaxSize).
 	MaxSize int
 	// SampleOutputs bounds the sampled activity terms per simulation
 	// (default 128, the training sweep's fidelity).
@@ -78,7 +81,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 256
 	}
 	if c.MaxSize <= 0 {
-		c.MaxSize = 512
+		c.MaxSize = DefaultMaxSize
 	}
 	if c.SampleOutputs <= 0 {
 		c.SampleOutputs = 128
