@@ -53,6 +53,7 @@ func (r *Report) Outcome(policy string) sched.Outcome {
 func PolicyRunner(cfg Config, trace *Trace) sched.Runner {
 	t, err := normalizedCopy(trace)
 	r := &policyRunner{cfg: cfg, trace: t, err: err}
+	r.spare.New = func() any { return new(runBuffers) }
 	return r.run
 }
 
@@ -62,17 +63,17 @@ type policyRunner struct {
 	cfg   Config
 	trace *Trace
 	err   error
-
-	mu    sync.Mutex
-	spare []*runBuffers
+	spare sync.Pool
 }
 
+// run replays the trace under p with a buffer set no other run is
+// using, and reduces the report to p's front row before releasing it.
 func (r *policyRunner) run(ctx context.Context, p sched.Policy) (sched.Outcome, error) {
 	if r.err != nil {
 		return sched.Outcome{}, r.err
 	}
-	b := r.buffers()
-	defer r.release(b)
+	b := r.spare.Get().(*runBuffers)
+	defer r.spare.Put(b)
 	c := r.cfg
 	c.Policy = p
 	rep, err := replay(ctx, c, r.trace, b)
@@ -80,25 +81,4 @@ func (r *policyRunner) run(ctx context.Context, p sched.Policy) (sched.Outcome, 
 		return sched.Outcome{}, err
 	}
 	return rep.Outcome(p.Name()), nil
-}
-
-// buffers takes a spare buffer set, or a new one when every set is in
-// use.
-func (r *policyRunner) buffers() *runBuffers {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.spare)
-	if n == 0 {
-		return new(runBuffers)
-	}
-	b := r.spare[n-1]
-	r.spare = r.spare[:n-1]
-	return b
-}
-
-// release returns a buffer set once its run's report is reduced.
-func (r *policyRunner) release(b *runBuffers) {
-	r.mu.Lock()
-	r.spare = append(r.spare, b)
-	r.mu.Unlock()
 }

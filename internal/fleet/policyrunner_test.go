@@ -58,7 +58,7 @@ func TestPolicyRunnerAllocatesPerRun(t *testing.T) {
 // runner; each must get the front sequential calls get.
 func TestPolicyRunnerConcurrentCallers(t *testing.T) {
 	ctx := context.Background()
-	run := PolicyRunner(compareFleet(&ModelOracle{SampleOutputs: 64}), compareTrace(t, 64))
+	run := PolicyRunner(Config{Devices: testFleet(), Oracle: smallOracle(), PowerCapW: 500}, testTrace(t))
 	want, err := sched.Compare(ctx, run, sched.All())
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ type Report struct {
 
 // Report reduces the simulation state so far. It is safe to call at
 // any drain point — open throttle events are closed in the returned
-// copy and the job results are copied, without mutating engine state —
+// copy without mutating engine state, and the job results are copied —
 // but the canonical report is the one taken when the engine has
 // drained with no further submissions coming, which is exactly what a
 // replayed trace reproduces.
