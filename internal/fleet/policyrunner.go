@@ -53,7 +53,6 @@ func (r *Report) Outcome(policy string) sched.Outcome {
 func PolicyRunner(cfg Config, trace *Trace) sched.Runner {
 	t, err := normalizedCopy(trace)
 	r := &policyRunner{cfg: cfg, trace: t, err: err}
-	r.spare.New = func() any { return new(runBuffers) }
 	return r.run
 }
 
@@ -63,7 +62,11 @@ type policyRunner struct {
 	cfg   Config
 	trace *Trace
 	err   error
-	spare sync.Pool
+
+	// spare is a free list, not a sync.Pool: a runner usually lives
+	// for one comparison, too briefly for a pool to pay for itself.
+	mu    sync.Mutex
+	spare []*runBuffers
 }
 
 // run replays the trace under p with a buffer set no other run is
@@ -72,8 +75,8 @@ func (r *policyRunner) run(ctx context.Context, p sched.Policy) (sched.Outcome, 
 	if r.err != nil {
 		return sched.Outcome{}, r.err
 	}
-	b := r.spare.Get().(*runBuffers)
-	defer r.spare.Put(b)
+	b := r.buffers()
+	defer r.release(b)
 	c := r.cfg
 	c.Policy = p
 	rep, err := replay(ctx, c, r.trace, b)
@@ -81,4 +84,25 @@ func (r *policyRunner) run(ctx context.Context, p sched.Policy) (sched.Outcome, 
 		return sched.Outcome{}, err
 	}
 	return rep.Outcome(p.Name()), nil
+}
+
+// buffers takes a spare buffer set, or a new one when every set is in
+// use.
+func (r *policyRunner) buffers() *runBuffers {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.spare)
+	if n == 0 {
+		return new(runBuffers)
+	}
+	b := r.spare[n-1]
+	r.spare = r.spare[:n-1]
+	return b
+}
+
+// release returns a buffer set once its run's report is reduced.
+func (r *policyRunner) release(b *runBuffers) {
+	r.mu.Lock()
+	r.spare = append(r.spare, b)
+	r.mu.Unlock()
 }
