@@ -180,6 +180,9 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkWalk/FP16",
 		"BenchmarkNorm/FillNorm",
 		"BenchmarkCompare",
+		"BenchmarkPredictBatchCached",
+		"BenchmarkRouterPredict/single",
+		"BenchmarkRouterPredict/batch",
 	}
 	for _, name := range ungated {
 		if re.MatchString(name) {

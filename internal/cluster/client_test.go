@@ -40,7 +40,7 @@ func testServeConfig() serve.Config {
 }
 
 // newCores builds n single-node backends and registers their cleanup.
-func newCores(t *testing.T, n int) []*serve.Core {
+func newCores(t testing.TB, n int) []*serve.Core {
 	t.Helper()
 	cores := make([]*serve.Core, n)
 	for i := range cores {

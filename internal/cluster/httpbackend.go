@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -237,10 +238,13 @@ func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
 // failures and malformed bodies become *TransportError, shard-side
 // validation rejections become *serve.RequestError (so the router
 // reports them as HTTP 400 with the shard's exact wording), everything
-// else is an opaque server error. When the caller's context carries no
-// deadline, the backend applies its own RequestTimeout and reports its
-// expiry as a Timeout TransportError (an outage), never as the
-// caller's cancellation.
+// else is an opaque server error. A 200 body is read whole into a
+// pooled buffer and must hold exactly one JSON value: a failed read, a
+// malformed value and trailing bytes after it are all Received
+// transport errors. When the caller's context carries no deadline, the
+// backend applies its own RequestTimeout and reports its expiry as a
+// Timeout TransportError (an outage), never as the caller's
+// cancellation.
 func (b *HTTPBackend) do(callerCtx context.Context, build func(context.Context) (*http.Request, error), out any) error {
 	ctx := callerCtx
 	if b.cfg.RequestTimeout > 0 {
@@ -286,7 +290,13 @@ func (b *HTTPBackend) do(callerCtx context.Context, build func(context.Context) 
 		}
 		return fmt.Errorf("cluster: shard %s: status %d: %s", b.base, httpResp.StatusCode, eb.Error)
 	}
-	if err := json.NewDecoder(httpResp.Body).Decode(out); err != nil {
+	buf := respBufs.Get().(*bytes.Buffer)
+	defer recycle(buf)
+	_, err = buf.ReadFrom(httpResp.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), out)
+	}
+	if err != nil {
 		if ctxErr := callerCtx.Err(); ctxErr != nil {
 			return ctxErr
 		}
@@ -299,6 +309,26 @@ func (b *HTTPBackend) do(callerCtx context.Context, build func(context.Context) 
 		return &TransportError{Shard: b.base, Err: fmt.Errorf("malformed response: %w", err), Received: true}
 	}
 	return nil
+}
+
+// maxPooledBody is the capacity past which a response buffer is left
+// to the collector instead of going back to respBufs: a cache export
+// can run to megabytes, and a pooled buffer that size would stay
+// resident for the odd request that needed it.
+const maxPooledBody = 1 << 20
+
+// respBufs recycles the buffers do reads 200 bodies into.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// recycle returns buf to respBufs unless it grew past maxPooledBody,
+// and reports whether it did.
+func recycle(buf *bytes.Buffer) bool {
+	if buf.Cap() > maxPooledBody {
+		return false
+	}
+	buf.Reset()
+	respBufs.Put(buf)
+	return true
 }
 
 func truncate(b []byte, n int) []byte {

@@ -57,9 +57,10 @@ type batchGroup struct {
 // PredictBatch serves a batch of predictions, answering every request
 // that resolves to the same key with one shared lookup. Item order is
 // preserved; per-item validation failures are reported in-place and do
-// not fail sibling items. Distinct keys run concurrently through the
-// same sharded pool as single-shot predictions, so a batch also
-// coalesces against concurrent /predict traffic for the same keys.
+// not fail sibling items. Keys the cache holds are answered inline;
+// the others run concurrently through the same sharded pool as
+// single-shot predictions, so a batch also coalesces against
+// concurrent /predict traffic for the same keys.
 func (c *Core) PredictBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	if len(req.Requests) == 0 {
 		return nil, badRequestf("batch: empty request list")
@@ -102,30 +103,40 @@ func (c *Core) PredictBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	resp.Coalesced = valid - len(order)
 	c.coalesced.Add(int64(resp.Coalesced))
 
-	// One lookup per distinct key, fanned out concurrently. The pool
-	// provides the backpressure; this loop only pays goroutine setup.
+	// One lookup per distinct key. Keys the LRU holds are answered
+	// inline; the rest fan out concurrently to the pool, which provides
+	// the backpressure. Every valid item's response lives in one slab.
+	slab := make([]PredictResponse, len(req.Requests))
 	var wg sync.WaitGroup
 	for _, g := range order {
+		if r, ok := c.cached(g.resolved); ok {
+			g.answer(resp.Items, slab, &r, nil)
+			continue
+		}
 		wg.Add(1)
 		go func(g *batchGroup) {
 			defer wg.Done()
-			r, err := c.predictKeyed(ctx, g.resolved)
-			if err != nil {
-				for _, i := range g.indexes {
-					resp.Items[i] = BatchItem{Error: err.Error()}
-				}
-				return
-			}
-			for n, i := range g.indexes {
-				item := *r
-				// Items beyond a group's first did not pay for the
-				// lookup, whatever its outcome was; report them as
-				// served from shared work.
-				item.Cached = r.Cached || n > 0
-				resp.Items[i] = BatchItem{Response: &item}
-			}
+			r, err := c.predictMiss(ctx, g.resolved)
+			g.answer(resp.Items, slab, r, err)
 		}(g)
 	}
 	wg.Wait()
 	return resp, nil
+}
+
+// answer writes the outcome of the group's lookup into its items,
+// keeping each response in the item's slab slot.
+func (g *batchGroup) answer(items []BatchItem, slab []PredictResponse, r *PredictResponse, err error) {
+	for n, i := range g.indexes {
+		if err != nil {
+			items[i] = BatchItem{Error: err.Error()}
+			continue
+		}
+		slab[i] = *r
+		// Items beyond a group's first did not pay for the lookup,
+		// whatever its outcome was; report them as served from shared
+		// work.
+		slab[i].Cached = r.Cached || n > 0
+		items[i] = BatchItem{Response: &slab[i]}
+	}
 }

@@ -45,6 +45,76 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+func TestPredictBatchInlineHitsMatchPredict(t *testing.T) {
+	// Two cores warmed alike: one answers a batch mixing cached keys,
+	// duplicates, a miss and an invalid item, the other the same items
+	// one Predict at a time. Items must match byte for byte, cached
+	// flags included, and distinct/coalesced must count the keys.
+	ctx := context.Background()
+	warm := []PredictRequest{
+		{Pattern: "gaussian(default)", Size: 64},
+		{DType: "INT8", Pattern: "constant(7)", Size: 48},
+		{Pattern: "gaussian(default) | sparsify(50%)", Size: 32},
+	}
+	reqs := []PredictRequest{
+		{Pattern: "gaussian( default )", Size: 64},
+		{DType: "int8", Pattern: "constant(7.0)", Size: 48},
+		{Pattern: "gaussian(default) | sort(rows, 50%)", Size: 32},
+		{Pattern: "gaussian(default)", Size: 64},
+		{Pattern: "gaussian(default) | frobnicate(9)", Size: 64},
+		{Pattern: "gaussian(default)|sort(rows, frac=0.5)", Size: 32},
+		{Pattern: "gaussian(default)|sparsify(50%)", Size: 32},
+	}
+	batchCore, singleCore := NewCore(testConfig()), NewCore(testConfig())
+	defer batchCore.Close()
+	defer singleCore.Close()
+	for _, c := range []*Core{batchCore, singleCore} {
+		for _, req := range warm {
+			if _, err := c.Predict(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	sims := batchCore.Metrics()["serve.simulations"]
+	batch, err := batchCore.PredictBatch(ctx, BatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batchCore.Metrics()["serve.simulations"] - sims; got != 1 {
+		t.Errorf("batch ran %d simulations, want 1 (its one miss)", got)
+	}
+	keys := map[Key]bool{}
+	valid := 0
+	for i, req := range reqs {
+		item := batch.Items[i]
+		single, err := singleCore.Predict(ctx, req)
+		if err != nil {
+			if item.Error != err.Error() || item.Response != nil {
+				t.Errorf("item %d: %+v, want error %q", i, item, err)
+			}
+			continue
+		}
+		valid++
+		res, err := ResolveRequest(req, testConfig().MaxSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[res.Key] = true
+		if item.Response == nil {
+			t.Fatalf("item %d: error %q, want a response", i, item.Error)
+		}
+		got, _ := json.Marshal(item.Response)
+		want, _ := json.Marshal(single)
+		if !bytes.Equal(got, want) {
+			t.Errorf("item %d:\nbatch  %s\nsingle %s", i, got, want)
+		}
+	}
+	if batch.Distinct != len(keys) || batch.Coalesced != valid-len(keys) {
+		t.Errorf("distinct %d coalesced %d, want %d and %d", batch.Distinct, batch.Coalesced, len(keys), valid-len(keys))
+	}
+}
+
 func TestPredictBatchCoalesces(t *testing.T) {
 	// 96 requests over 3 distinct keys (with spelling variants that
 	// canonicalize together) must cost at most 3 simulations.

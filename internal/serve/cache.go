@@ -3,9 +3,9 @@ package serve
 import (
 	"container/list"
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 	"sync"
 
 	"repro/internal/matrix"
@@ -27,7 +27,7 @@ type Key struct {
 // to equal RouteStrings (the pattern is canonical), which is what
 // pins a key to one ring owner.
 func (k Key) RouteString() string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d", k.Device, k.DType, k.Pattern, k.Size)
+	return k.Device + "\x00" + k.DType.String() + "\x00" + k.Pattern + "\x00" + strconv.Itoa(k.Size)
 }
 
 // RouteHash returns the canonical 64-bit hash of a route string: FNV-1a,

@@ -46,61 +46,6 @@ type Backend interface {
 	Close()
 }
 
-// Resolved is the executable form of a validated PredictRequest: the
-// device preset, parsed datatype and pattern, and the canonical cache
-// key every serving layer coalesces on.
-type Resolved struct {
-	// Device is the resolved preset.
-	Device *device.Device
-	// DType is the parsed datatype.
-	DType matrix.DType
-	// Pattern is the parsed input-pattern pipeline.
-	Pattern patterns.Pattern
-	// Key is the canonical (device, dtype, pattern, size) identity.
-	Key Key
-}
-
-// ResolveRequest validates a predict request into its executable
-// parts, applying the Default* values to empty fields and rejecting
-// sizes outside [8, maxSize] (0 = DefaultMaxSize). Core and
-// the cluster router share this exact code path, so a request invalid
-// at the router fails with byte-identical wording to a request invalid
-// at a shard.
-func ResolveRequest(req PredictRequest, maxSize int) (Resolved, error) {
-	if maxSize <= 0 {
-		maxSize = DefaultMaxSize
-	}
-	if req.Device == "" {
-		req.Device = DefaultDevice
-	}
-	if req.DType == "" {
-		req.DType = DefaultDType
-	}
-	if req.Pattern == "" {
-		req.Pattern = DefaultPattern
-	}
-	if req.Size == 0 {
-		req.Size = DefaultSize
-	}
-	dev := device.ByName(req.Device)
-	if dev == nil {
-		return Resolved{}, badRequestf("unknown device %q (have %v)", req.Device, device.Names())
-	}
-	dt, ok := matrix.ParseDType(req.DType)
-	if !ok {
-		return Resolved{}, badRequestf("unknown dtype %q", req.DType)
-	}
-	pat, err := patterns.Parse(req.Pattern)
-	if err != nil {
-		return Resolved{}, badRequestf("bad pattern: %v", err)
-	}
-	if req.Size < 8 || req.Size > maxSize {
-		return Resolved{}, badRequestf("size %d out of [8, %d]", req.Size, maxSize)
-	}
-	key := Key{Device: dev.Name, DType: dt, Pattern: pat.Name, Size: req.Size}
-	return Resolved{Device: dev, DType: dt, Pattern: pat, Key: key}, nil
-}
-
 // Core is the single-node prediction engine: cache, worker pool and
 // predictor registry with no transport attached. It implements
 // Backend; Handler wraps it in HTTP, cluster.Client fans out across
@@ -259,15 +204,29 @@ func (c *Core) Predict(ctx context.Context, req PredictRequest) (*PredictRespons
 // a single-shot request for the same key share cache entries, shard
 // serialization and metrics.
 func (c *Core) predictKeyed(ctx context.Context, r Resolved) (*PredictResponse, error) {
-	// Fast path: answer straight from the LRU without a pool trip. A
-	// response from a retrained-away predictor generation is treated
-	// as a miss and recomputed.
-	if resp, ok := c.cache.Get(r.Key); ok && resp.gen == c.registry.currentGen(r.Device.Name, r.DType) {
-		c.hits.Inc()
-		resp.Cached = true
+	// Fast path: answer straight from the LRU without a pool trip.
+	if resp, ok := c.cached(r); ok {
 		return &resp, nil
 	}
+	return c.predictMiss(ctx, r)
+}
 
+// cached answers from the LRU when it holds the key at the current
+// predictor generation, counting the hit. A response from a
+// retrained-away generation is treated as a miss and recomputed.
+func (c *Core) cached(r Resolved) (PredictResponse, bool) {
+	resp, ok := c.cache.Get(r.Key)
+	if !ok || resp.gen != c.registry.currentGen(r.Device.Name, r.DType) {
+		return PredictResponse{}, false
+	}
+	c.hits.Inc()
+	resp.Cached = true
+	return resp, true
+}
+
+// predictMiss is predictKeyed past a fast-path miss: the lazy
+// predictor and the trip through the key's pool shard.
+func (c *Core) predictMiss(ctx context.Context, r Resolved) (*PredictResponse, error) {
 	// Resolve the predictor before entering the pool: the lazy
 	// training sweep is seconds of work and must not occupy a shard
 	// worker while unrelated keys queue behind it (the registry
@@ -282,9 +241,7 @@ func (c *Core) predictKeyed(ctx context.Context, r Resolved) (*PredictResponse, 
 		// Re-check under the shard: an identical request queued ahead
 		// of this one may have filled the entry already. That still
 		// skipped the simulation, so it still counts as a hit.
-		if resp, ok := c.cache.Get(r.Key); ok && resp.gen == c.registry.currentGen(r.Device.Name, r.DType) {
-			c.hits.Inc()
-			resp.Cached = true
+		if resp, ok := c.cached(r); ok {
 			return &resp, nil
 		}
 		c.misses.Inc()
@@ -352,10 +309,10 @@ func (c *Core) Train(ctx context.Context, req TrainRequest) (*TrainResponse, err
 	if req.DType == "" {
 		req.DType = DefaultDType
 	}
-	dev := device.ByName(req.Device)
-	if dev == nil {
+	dev, err := lookupDevice(req.Device)
+	if err != nil {
 		c.failures.Inc()
-		return nil, badRequestf("unknown device %q (have %v)", req.Device, device.Names())
+		return nil, err
 	}
 	dt, ok := matrix.ParseDType(req.DType)
 	if !ok {

@@ -1,0 +1,7 @@
+//go:build !race
+
+package serve
+
+// raceEnabled reports whether the race detector is on; tests that count
+// allocations skip under it.
+const raceEnabled = false

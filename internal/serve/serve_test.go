@@ -579,6 +579,38 @@ func BenchmarkPredictCached(b *testing.B) {
 	b.ReportMetric(s.CacheHitRate()*100, "hit_%")
 }
 
+// BenchmarkPredictBatchCached times a /predict/batch whose keys are
+// all cached: 32 items over 16 keys on one Core, the shape of the
+// batches a router sends a shard.
+func BenchmarkPredictBatchCached(b *testing.B) {
+	s := NewCore(testConfig())
+	defer s.Close()
+	var keys []PredictRequest
+	for _, dtype := range []string{"FP16", "INT8"} {
+		for _, pattern := range []string{"gaussian(default)", "gaussian(default) | sparsify(50%)", "gaussian(default) | sort(rows, 50%)", "constant(7)"} {
+			for _, size := range []int{32, 48} {
+				keys = append(keys, PredictRequest{DType: dtype, Pattern: pattern, Size: size})
+			}
+		}
+	}
+	req := BatchRequest{Requests: make([]PredictRequest, 32)}
+	for i := range req.Requests {
+		req.Requests[i] = keys[(i*7)%len(keys)]
+	}
+	ctx := context.Background()
+	if _, err := s.PredictBatch(ctx, BatchRequest{Requests: keys}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := s.PredictBatch(ctx, req)
+		if err != nil || resp.Distinct != len(keys) {
+			b.Fatalf("batch: %v", err)
+		}
+	}
+}
+
 // BenchmarkPredictUncached times a cache miss end to end (simulation
 // included) at the serving layer's default fidelity.
 func BenchmarkPredictUncached(b *testing.B) {
