@@ -198,11 +198,10 @@ func (c *Core) Predict(ctx context.Context, req PredictRequest) (*PredictRespons
 	return resp, err
 }
 
-// predictKeyed is the post-validation half of Predict: cache fast
-// path, lazy predictor resolution and the sharded simulation trip.
-// Predict and PredictBatch both funnel through it, so a batch item and
-// a single-shot request for the same key share cache entries, shard
-// serialization and metrics.
+// predictKeyed is the post-validation half of Predict: the cache fast
+// path, then predictMiss. PredictBatch takes the same two steps per
+// distinct key, so a batch item and a single-shot request for the same
+// key share cache entries, shard serialization and metrics.
 func (c *Core) predictKeyed(ctx context.Context, r Resolved) (*PredictResponse, error) {
 	// Fast path: answer straight from the LRU without a pool trip.
 	if resp, ok := c.cached(r); ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -141,6 +142,28 @@ func TestPatternTableBound(t *testing.T) {
 	if late := fmt.Sprintf("constant(%d)", patternTableCap); stored(late) {
 		t.Errorf("table stored %q after it was full", late)
 	}
+}
+
+func TestResolveRequestConcurrent(t *testing.T) {
+	// Goroutines storing and reading the same spellings at once must
+	// each resolve them as the reference does.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				req := PredictRequest{Pattern: fmt.Sprintf("gaussian(default) | sparsify(%d%%)", (i*(g+1))%40), Size: 64}
+				want, _ := resolveReference(req, 0)
+				got, err := ResolveRequest(req, 0)
+				if err != nil || got.Key != want.Key {
+					t.Errorf("%q: resolved %+v (%v), reference %+v", req.Pattern, got.Key, err, want.Key)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestResolveRequestAllocs(t *testing.T) {
