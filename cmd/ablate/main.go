@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/ablation"
 	"repro/internal/device"
@@ -35,7 +34,7 @@ func main() {
 	if dev == nil {
 		fatalf("unknown device %q", *devName)
 	}
-	dt, ok := parseDType(*dtype)
+	dt, ok := matrix.ParseDType(*dtype)
 	if !ok {
 		fatalf("unknown dtype %q", *dtype)
 	}
@@ -78,23 +77,6 @@ func main() {
 func printRow(r ablation.Result) {
 	fmt.Printf("%-14s %10.1f %8.2f %8.2f %14v\n",
 		r.Variant, r.Shape.Swing*100, r.Shape.Trend, r.Shape.PeakX, r.Shape.InteriorPeak)
-}
-
-func parseDType(s string) (matrix.DType, bool) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "FP32":
-		return matrix.FP32, true
-	case "FP16":
-		return matrix.FP16, true
-	case "FP16-T", "FP16T":
-		return matrix.FP16T, true
-	case "BF16-T", "BF16T", "BF16":
-		return matrix.BF16T, true
-	case "INT8":
-		return matrix.INT8, true
-	default:
-		return 0, false
-	}
 }
 
 func fatalf(format string, args ...any) {

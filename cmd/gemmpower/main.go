@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -92,7 +91,7 @@ func runFigure(dev *device.Device, id string, size, seeds, samples int, csvOut b
 }
 
 func runPattern(dev *device.Device, dsl, dtype string, size, samples int, seed uint64) {
-	dt, ok := parseDType(dtype)
+	dt, ok := matrix.ParseDType(dtype)
 	if !ok {
 		fatalf("unknown dtype %q", dtype)
 	}
@@ -125,23 +124,6 @@ func runPattern(dev *device.Device, dsl, dtype string, size, samples int, seed u
 	pm := m.Activity.PerMAC()
 	fmt.Printf("activity  : %.2f operand toggles/MAC, %.2f PP units/MAC, alignment %.3f, HW(A) %.2f\n",
 		pm.OperandToggles, pm.MultPPUnits, m.Activity.MeanAlignment, m.Activity.MeanHammingA)
-}
-
-func parseDType(s string) (matrix.DType, bool) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "FP32":
-		return matrix.FP32, true
-	case "FP16":
-		return matrix.FP16, true
-	case "FP16-T", "FP16T":
-		return matrix.FP16T, true
-	case "BF16-T", "BF16T", "BF16":
-		return matrix.BF16T, true
-	case "INT8":
-		return matrix.INT8, true
-	default:
-		return 0, false
-	}
 }
 
 func fatalf(format string, args ...any) {

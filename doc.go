@@ -41,8 +41,7 @@
 // under the cap), ThermalSpread and EnergyGreedy. sched.Compare
 // replays one trace through several policies into an exact
 // latency/energy/throttle front table (fleetsim -policy/-compare,
-// examples/schedfront); fleet.ReadAlibabaCSV imports real cluster-log
-// rows as job streams.
+// examples/schedfront).
 //
 // # Engine architecture
 //

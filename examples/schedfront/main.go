@@ -1,5 +1,5 @@
-// Scheduling-front walkthrough: what a power-aware placement policy
-// buys at fleet scale.
+// Scheduling-front walkthrough: what a power-aware placement policy,
+// and looking ahead, buy at fleet scale.
 //
 // One mixed-encoding GEMM stream — power-hungry dense/random inputs
 // interleaved with cheap-bit encodings (constant, sparse, sorted,
@@ -10,14 +10,24 @@
 //
 //   - EarliestCompletion chases latency and piles hot jobs onto the
 //     fleet concurrently, so the aggregate cap governor fires.
-//   - PowerPack packs jobs by dynamic power, serializing the hot ones:
-//     cap-throttle events drop to zero for a makespan price.
+//   - PowerPack packs jobs by the fleet's instantaneous dynamic power,
+//     serializing the hot ones: cap-throttle events drop to zero for a
+//     makespan price.
 //   - ThermalSpread and EnergyGreedy trace intermediate points.
+//   - PredictiveHorizon projects every instance's committed power
+//     timeline over the next 30 s and defers a job only as long as its
+//     demand would breach the cap within that window: it matches
+//     PowerPack's zero throttle events at a fraction of its makespan.
 //
-// The same table comes from:
+// The same rows come from:
 //
 //	fleetsim -compare EarliestCompletion,PowerPack,ThermalSpread,EnergyGreedy \
 //	  -devices "A100-PCIe-40GB:4" -cap 310 -sizes 512 ...
+//	fleetsim -compare EarliestCompletion,PowerPack,PredictiveHorizon \
+//	  -devices "A100-PCIe-40GB:4" -cap 310 -window 30 -sizes 512 ...
+//
+// and CI pins them as .github/testdata/sched-front.csv and
+// horizon-front.csv.
 //
 //	go run ./examples/schedfront
 package main
@@ -95,4 +105,13 @@ func main() {
 		ec.ThrottleEvents-pp.ThrottleEvents, ec.ThrottleEvents, ec.CapThrottledS-pp.CapThrottledS)
 	fmt.Printf("the price is makespan: %.2fs vs %.2fs (%.1f×) — the exact front an operator chooses on\n",
 		pp.MakespanS, ec.MakespanS, pp.MakespanS/ec.MakespanS)
+
+	ph, _ := front.ByPolicy("PredictiveHorizon")
+	if ph.ThrottleEvents > pp.ThrottleEvents || ph.MakespanS >= pp.MakespanS {
+		fmt.Fprintf(os.Stderr, "schedfront: expected PredictiveHorizon (%d events, %.2fs) to dominate PowerPack (%d events, %.2fs)\n",
+			ph.ThrottleEvents, ph.MakespanS, pp.ThrottleEvents, pp.MakespanS)
+		os.Exit(1)
+	}
+	fmt.Printf("PredictiveHorizon holds PowerPack's throttle count (%d vs %d) at %.2fs makespan: %.1f× faster than PowerPack, within %.1f× of EarliestCompletion\n",
+		ph.ThrottleEvents, pp.ThrottleEvents, ph.MakespanS, pp.MakespanS/ph.MakespanS, ph.MakespanS/ec.MakespanS)
 }

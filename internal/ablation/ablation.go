@@ -82,6 +82,8 @@ func Disable(dev *device.Device, comps ...Component) *device.Device {
 // Only returns a copy of the device with every data-dependent component
 // EXCEPT the listed ones zeroed (issue and static are always kept:
 // they are data-independent).
+// Only tests call it: TestOnlyKeepsSelected and
+// TestFig6aSparsityDrivenByMultiplierGating.
 func Only(dev *device.Device, keep ...Component) *device.Device {
 	drop := make([]Component, 0, len(Components))
 	keepSet := map[Component]bool{Issue: true}

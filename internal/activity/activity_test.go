@@ -148,8 +148,8 @@ func TestSortingReducesOperandToggles(t *testing.T) {
 	base := gaussianProblem(dt, 32, 32, 32, 7)
 	sortedA := base.A.Clone()
 	sortedB := base.B.Clone()
-	matrix.SortIntoRows(sortedA, 1)
-	matrix.SortIntoRows(sortedB, 1)
+	matrix.PartialSort(sortedA, matrix.IntoRows, 1)
+	matrix.PartialSort(sortedB, matrix.IntoRows, 1)
 	sorted := kernels.NewProblem(dt, sortedA, sortedB)
 
 	rBase, err := Analyze(base, Config{Seed: 3})

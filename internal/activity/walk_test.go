@@ -3,6 +3,7 @@ package activity
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -212,13 +213,13 @@ func refWalkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width in
 			// the rule would push them past the inliner's budget.
 			prod0 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a0)), softfloat.F16ToF32(uint16(bb0))))
 			prod1 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a1)), softfloat.F16ToF32(uint16(bb1))))
-			prodTog0 += int64(bitops.Toggle16(prevProd0, prod0))
-			prodTog1 += int64(bitops.Toggle16(prevProd1, prod1))
+			prodTog0 += int64(bits.OnesCount16(prevProd0 ^ prod0))
+			prodTog1 += int64(bits.OnesCount16(prevProd1 ^ prod1))
 			prevProd0, prevProd1 = prod0, prod1
 			acc0 = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc0), softfloat.F16ToF32(prod0)))
 			acc1 = softfloat.F32ToF16(softfloat.AddF32(softfloat.F16ToF32(acc1), softfloat.F16ToF32(prod1)))
-			accTog0 += int64(bitops.Toggle16(prevAcc0, acc0))
-			accTog1 += int64(bitops.Toggle16(prevAcc1, acc1))
+			accTog0 += int64(bits.OnesCount16(prevAcc0 ^ acc0))
+			accTog1 += int64(bits.OnesCount16(prevAcc1 ^ acc1))
 			prevAcc0, prevAcc1 = acc0, acc1
 			alignPC0 += int64(bitops.Popcount32((a0 ^ bb0) & amask))
 			alignPC1 += int64(bitops.Popcount32((a1 ^ bb1) & amask))

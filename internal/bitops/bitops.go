@@ -12,31 +12,13 @@ package bitops
 
 import "math/bits"
 
-// Popcount8 returns the number of set bits in the low 8 bits of v.
-func Popcount8(v uint8) int { return bits.OnesCount8(v) }
-
-// Popcount16 returns the number of set bits in the low 16 bits of v.
-func Popcount16(v uint16) int { return bits.OnesCount16(v) }
-
 // Popcount32 returns the number of set bits in v.
 func Popcount32(v uint32) int { return bits.OnesCount32(v) }
 
-// Popcount64 returns the number of set bits in v.
-func Popcount64(v uint64) int { return bits.OnesCount64(v) }
-
-// Toggle8 returns the number of bit positions that differ between a and
-// b, i.e. the switching activity a bus lane of width 8 experiences when
+// Toggle32 returns the number of bit positions that differ between a
+// and b, i.e. the switching activity a 32-bit bus lane experiences when
 // its value transitions from a to b.
-func Toggle8(a, b uint8) int { return bits.OnesCount8(a ^ b) }
-
-// Toggle16 is Toggle8 for 16-bit lanes.
-func Toggle16(a, b uint16) int { return bits.OnesCount16(a ^ b) }
-
-// Toggle32 is Toggle8 for 32-bit lanes.
 func Toggle32(a, b uint32) int { return bits.OnesCount32(a ^ b) }
-
-// Toggle64 is Toggle8 for 64-bit lanes.
-func Toggle64(a, b uint64) int { return bits.OnesCount64(a ^ b) }
 
 // Alignment returns the bit alignment between two values over the given
 // width in bits, as defined in the paper (§IV-F): 0 if every bit is
@@ -61,26 +43,6 @@ func ToggleSum32(vs []uint32) int64 {
 	var sum int64
 	for i := 1; i < len(vs); i++ {
 		sum += int64(bits.OnesCount32(vs[i-1] ^ vs[i]))
-	}
-	return sum
-}
-
-// ToggleSumMasked32 is ToggleSum32 restricted to the bit positions set
-// in mask. It models a bus where only some lanes are monitored (for
-// example the mantissa sub-bus of a floating-point operand collector).
-func ToggleSumMasked32(vs []uint32, mask uint32) int64 {
-	var sum int64
-	for i := 1; i < len(vs); i++ {
-		sum += int64(bits.OnesCount32((vs[i-1] ^ vs[i]) & mask))
-	}
-	return sum
-}
-
-// PopcountSum32 returns the total Hamming weight of the stream.
-func PopcountSum32(vs []uint32) int64 {
-	var sum int64
-	for _, v := range vs {
-		sum += int64(bits.OnesCount32(v))
 	}
 	return sum
 }
@@ -117,17 +79,6 @@ func MeanAlignment(a, b []uint32, width int) float64 {
 		sum += Alignment(a[i], b[i], width)
 	}
 	return sum / float64(len(a))
-}
-
-// ReverseBits reverses the low width bits of v (higher bits are
-// discarded). Used by tests to construct adversarial patterns.
-func ReverseBits(v uint32, width int) uint32 {
-	var out uint32
-	for i := 0; i < width; i++ {
-		out <<= 1
-		out |= (v >> uint(i)) & 1
-	}
-	return out
 }
 
 // LowMask returns a mask with the low n bits set (n clamped to [0,32]).

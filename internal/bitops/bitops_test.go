@@ -24,15 +24,6 @@ func TestPopcounts(t *testing.T) {
 			t.Errorf("Popcount32(%#x) = %d, want %d", c.v, got, c.want)
 		}
 	}
-	if Popcount8(0xF0) != 4 {
-		t.Error("Popcount8(0xF0) != 4")
-	}
-	if Popcount16(0x0F0F) != 8 {
-		t.Error("Popcount16(0x0F0F) != 8")
-	}
-	if Popcount64(0xFFFFFFFFFFFFFFFF) != 64 {
-		t.Error("Popcount64(all ones) != 64")
-	}
 }
 
 func TestToggle(t *testing.T) {
@@ -41,15 +32,6 @@ func TestToggle(t *testing.T) {
 	}
 	if Toggle32(0xDEADBEEF, 0xDEADBEEF) != 0 {
 		t.Error("self toggle should be 0")
-	}
-	if Toggle8(0x0F, 0xF0) != 8 {
-		t.Error("Toggle8 opposite nibbles should be 8")
-	}
-	if Toggle16(0x00FF, 0x0FF0) != 8 {
-		t.Error("Toggle16(0x00FF,0x0FF0) should be 8")
-	}
-	if Toggle64(0, 1) != 1 {
-		t.Error("Toggle64(0,1) should be 1")
 	}
 }
 
@@ -127,29 +109,6 @@ func TestToggleSum32(t *testing.T) {
 	}
 }
 
-func TestToggleSumMasked32(t *testing.T) {
-	vs := []uint32{0x00, 0xFF, 0x00}
-	if got := ToggleSumMasked32(vs, 0x0F); got != 8 {
-		t.Errorf("masked toggle sum = %d, want 8", got)
-	}
-	if got := ToggleSumMasked32(vs, 0x00); got != 0 {
-		t.Errorf("zero mask toggle sum = %d, want 0", got)
-	}
-	full := ToggleSum32(vs)
-	if got := ToggleSumMasked32(vs, ^uint32(0)); got != full {
-		t.Errorf("full mask = %d, want %d", got, full)
-	}
-}
-
-func TestPopcountSum32(t *testing.T) {
-	if PopcountSum32(nil) != 0 {
-		t.Error("empty popcount sum should be 0")
-	}
-	if got := PopcountSum32([]uint32{1, 3, 7}); got != 6 {
-		t.Errorf("PopcountSum32 = %d, want 6", got)
-	}
-}
-
 func TestMeanHamming(t *testing.T) {
 	if MeanHamming(nil, 32) != 0 {
 		t.Error("empty mean hamming should be 0")
@@ -184,22 +143,6 @@ func TestMeanAlignmentMismatchPanics(t *testing.T) {
 		}
 	}()
 	MeanAlignment([]uint32{1}, []uint32{1, 2}, 8)
-}
-
-func TestReverseBits(t *testing.T) {
-	if got := ReverseBits(0b0001, 4); got != 0b1000 {
-		t.Errorf("ReverseBits(0b0001,4) = %#b, want 0b1000", got)
-	}
-	if got := ReverseBits(0x1, 32); got != 0x80000000 {
-		t.Errorf("ReverseBits(1,32) = %#x", got)
-	}
-	// Involution property.
-	f := func(v uint32) bool {
-		return ReverseBits(ReverseBits(v, 32), 32) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestMasks(t *testing.T) {

@@ -287,8 +287,9 @@ func (c *Client) install(t *topology) {
 	c.topoMu.Unlock()
 }
 
-// Ring exposes the client's current placement for tests and
-// cmd/powerrouter's startup log.
+// Ring exposes the client's current placement. Only tests call it:
+// TestBatchReroutesAroundDownShard and
+// TestBatchTraceParentOnRouterChildrenOnOwningShards.
 func (c *Client) Ring() *Ring { return c.topology().ring }
 
 // available reports whether the shard should receive traffic: up, or

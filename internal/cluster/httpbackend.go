@@ -126,9 +126,6 @@ func NewHTTPBackendConfig(baseURL string, client *http.Client, cfg BackendConfig
 	return &HTTPBackend{base: baseURL, client: client, cfg: cfg.withDefaults()}
 }
 
-// Name returns the backend's base URL.
-func (b *HTTPBackend) Name() string { return b.base }
-
 // Predict forwards one prediction to the shard.
 func (b *HTTPBackend) Predict(ctx context.Context, req serve.PredictRequest) (*serve.PredictResponse, error) {
 	var resp serve.PredictResponse

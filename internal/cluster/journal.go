@@ -89,10 +89,3 @@ func (j *keyJournal) inRanges(ranges []serve.HashRange) []journalEntry {
 	}
 	return out
 }
-
-// Len returns the number of journaled keys.
-func (j *keyJournal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.order.Len()
-}

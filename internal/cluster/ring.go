@@ -141,9 +141,6 @@ func (r *Ring) clone() *Ring {
 // Add/Drain/Remove.
 func (r *Ring) Epoch() int { return r.epoch }
 
-// Shards returns the number of members, draining ones included.
-func (r *Ring) Shards() int { return len(r.members) }
-
 // VirtualNodes returns the per-member ring point count.
 func (r *Ring) VirtualNodes() int { return r.vnodes }
 
@@ -228,6 +225,8 @@ func (r *Ring) Remove(slot int) (*Ring, error) {
 
 // Owner returns the slot owning key: the slot of the first active ring
 // point at or clockwise of the key's hash.
+// Only tests call it (FuzzRingEpochInvariants, TestRingSpreadsKeys);
+// the router routes by Sequence.
 func (r *Ring) Owner(key string) int {
 	return r.ownerAt(hashString(key))
 }

@@ -159,6 +159,7 @@ func (s *Simulator) MeasureDSL(dt matrix.DType, size int, dsl string, opts Optio
 
 // Compare measures two patterns under identical conditions and returns
 // the relative power change of the second versus the first.
+// Only TestCompare calls it.
 func (s *Simulator) Compare(dt matrix.DType, size int, base, variant patterns.Pattern, opts Options) (baseM, varM *Measurement, relChange float64, err error) {
 	baseM, err = s.MeasurePattern(dt, size, base, opts)
 	if err != nil {

@@ -37,6 +37,9 @@ type Example struct {
 // immediately preceding it (blank lines and prose allowed in between);
 // unmarked blocks are illustrative responses and are skipped; a marker
 // followed by a heading, another marker or EOF is body-less.
+// The apidoc suites call it (TestAPIDocExamplesRoundTrip,
+// TestAdminDocExamplesRoundTrip,
+// TestControlPlaneDocExamplesRoundTrip).
 func Parse(path string) ([]Example, error) {
 	f, err := os.Open(path)
 	if err != nil {

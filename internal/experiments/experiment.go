@@ -59,7 +59,9 @@ func Default() Config {
 	}
 }
 
-// Quick returns a reduced configuration for tests and fast sweeps.
+// Quick returns a reduced configuration.
+// Only tests call it: TestRaggedSizesRunEndToEnd, the quickResult
+// helper of the figure tests, and the ablation tests.
 func Quick() Config {
 	cfg := Default()
 	cfg.Size = 192

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,7 +130,7 @@ func TestFig3aStddevFlat(t *testing.T) {
 	fr := quickResult(t, "fig3a")
 	for _, dt := range fpDTypes {
 		ps := powers(fr, dt)
-		lo, hi := stats.MinMax(ps)
+		lo, hi := slices.Min(ps), slices.Max(ps)
 		rel := (hi - lo) / hi
 		// "Flat" relative to the dynamic range: compare against the
 		// swing the same datatype shows on the bit-flip experiment.
@@ -354,7 +355,7 @@ func TestRuntimeConsistentAcrossExperiments(t *testing.T) {
 				times = append(times, c.IterTimeS)
 			}
 		}
-		lo, hi := stats.MinMax(times)
+		lo, hi := slices.Min(times), slices.Max(times)
 		if hi-lo > 1e-6 {
 			t.Errorf("%v: iteration runtime spread %v s across experiments exceeds 1µs", dt, hi-lo)
 		}

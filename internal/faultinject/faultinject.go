@@ -140,6 +140,7 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 
 // WritePlan encodes the plan as indented JSON, the exact shape
 // ReadPlan accepts.
+// Only TestPlanJSONRoundtrip calls it.
 func (p *Plan) WritePlan(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -191,6 +192,7 @@ func (s GenSpec) withDefaults() GenSpec {
 // (shard, request index) pair under the horizon an independent seeded
 // draw decides whether a fault fires and which kind. Equal specs yield
 // equal plans — the property the chaos tests replay on.
+// Only tests call it: TestChaosEquivalence draws its plan here.
 func Generate(spec GenSpec) *Plan {
 	spec = spec.withDefaults()
 	src := rng.Derive(spec.Seed, "faultinject/plan")

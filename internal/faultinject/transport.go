@@ -53,6 +53,9 @@ type Transport struct {
 
 // NewTransport wraps next (nil = http.DefaultTransport) with the fault
 // schedule plan holds for shard.
+// Only tests call it: TestChaosEquivalence and TestChaosDuringResize
+// wrap shard clients with it (cmd/chaosproxy applies a plan as a proxy
+// instead).
 func NewTransport(plan *Plan, shard int, next http.RoundTripper) *Transport {
 	if next == nil {
 		next = http.DefaultTransport
@@ -64,6 +67,7 @@ func NewTransport(plan *Plan, shard int, next http.RoundTripper) *Transport {
 // prefixes count toward (and be eligible for) the fault schedule, like
 // POSTs. It returns the transport for chaining at construction time;
 // it is not safe to call after traffic has started.
+// Only TestChaosDuringResize calls it.
 func (t *Transport) FaultGET(prefixes ...string) *Transport {
 	t.getPrefixes = append(t.getPrefixes, prefixes...)
 	return t
@@ -86,6 +90,7 @@ func (t *Transport) eligible(req *http.Request) bool {
 
 // Requests reports how many schedule-eligible (POST) requests have
 // passed through so far.
+// Only TestTransportCountsOnlyPosts calls it.
 func (t *Transport) Requests() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -212,10 +212,6 @@ func (e *Engine) NowS() float64 { return e.nowS }
 // State reports the drive condition after the most recent Advance.
 func (e *Engine) State() State { return e.state }
 
-// Models lists the distinct device models in the fleet, in first-seen
-// fleet order — the candidate set for an unpinned job's key expansion.
-func (e *Engine) Models() []string { return e.models }
-
 // Submitted is the number of jobs ever accepted by Submit.
 func (e *Engine) Submitted() int { return e.submitted }
 

@@ -168,6 +168,8 @@ func (p *Problem) BDims() (rows, cols int) {
 
 // BAt returns the logical B operand element at (kk, j), accounting for
 // transposed storage.
+// Only tests call it: refSampleWalk, the reference of
+// FuzzWalkMatchesLanes.
 func (p *Problem) BAt(kk, j int) uint32 {
 	if p.BTransposed {
 		return p.B.At(j, kk)

@@ -16,6 +16,7 @@ type Output struct {
 }
 
 // At returns the output element at (i, j).
+// Only tests call it: TestOutputAt and TestFP16MatchesScalarSoftfloat.
 func (o *Output) At(i, j int) float64 { return o.Vals[i*o.Cols+j] }
 
 // Run executes the GEMM functionally with the exact arithmetic of the
@@ -35,6 +36,11 @@ func (o *Output) At(i, j int) float64 { return o.Vals[i*o.Cols+j] }
 // output element's reduction order is fixed (ascending k), matching the
 // per-lane order of the simulated kernel; row blocks write disjoint
 // output ranges, so parallel execution is deterministic too.
+// No figure, serving or fleet path calls Run: the chain reads operand
+// bits, not products. The golden suite (TestRunBitIdenticalToGolden,
+// FuzzRunMatchesGolden) and
+// TestSortReductionDimReducesPowerAndPreservesOutputs run it, and
+// BenchmarkGEMM times it.
 func Run(p *Problem) (*Output, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -139,6 +145,8 @@ func runINT8(p *Problem, out *Output) {
 // Reference computes the GEMM in float64 with no intermediate rounding,
 // the oracle the datatype kernels are verified against. It shares the
 // packed-panel layout and block scheduling with the datatype engine.
+// Only tests call it: TestFP32MatchesReference and TestINT8Exact hold
+// Run to it, and FuzzRunMatchesGolden holds it to a float64 loop.
 func Reference(p *Problem) *Output {
 	n, k, m := p.Dims()
 	aPan := packRows(p.A, p.A.DType.Decode)

@@ -97,6 +97,8 @@ func FillConstant(m *Matrix, v float64) {
 }
 
 // FillConstantBits fills every element with the same raw bit pattern.
+// Only tests call it: TestZeroLSBs, TestMeanHammingWeight and
+// activity's TestMeanAlignmentOppositeOperands.
 func FillConstantBits(m *Matrix, bits uint32) {
 	for i := range m.Bits {
 		m.Bits[i] = bits

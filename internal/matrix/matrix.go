@@ -178,6 +178,10 @@ func (m *Matrix) Clone() *Matrix {
 // Transpose returns a new matrix that is the transpose of m. The paper's
 // default configuration transposes B so both operands stream the same
 // pattern along the reduction dimension.
+// The chain takes transposed storage instead
+// (kernels.NewTransposedProblem); FuzzRunMatchesGolden and
+// TestTransposedStorageBitIdentical build the materialized transpose
+// with it.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.DType, m.Cols, m.Rows)
 	transposeBits(out.Bits, m.Bits, m.Rows, m.Cols)
@@ -207,6 +211,9 @@ func transposeBits(dst, src []uint32, rows, cols int) {
 
 // Equal reports whether two matrices have identical dtype, shape, and
 // bit content.
+// The byte-identity tests compare matrices with it:
+// FuzzGenerateMatchesBaseFill, TestPrepSort, TestPartialSortConcurrent
+// and the transform tests.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.DType != o.DType || m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
@@ -220,6 +227,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 }
 
 // Column returns a copy of the j-th column's bit patterns.
+// Only TestColumn calls it.
 func (m *Matrix) Column(j int) []uint32 {
 	out := make([]uint32, m.Rows)
 	for i := 0; i < m.Rows; i++ {
@@ -240,6 +248,7 @@ func (m *Matrix) Values() []float64 {
 // NonZeroFraction returns the fraction of elements whose bit pattern is
 // non-zero. Note that for floating point, -0 counts as non-zero bits;
 // the transforms in this package always write +0 when sparsifying.
+// Only tests call it: TestSparsify and the patterns DSL tests.
 func (m *Matrix) NonZeroFraction() float64 {
 	nz := 0
 	for _, b := range m.Bits {

@@ -258,7 +258,7 @@ func TestSortIntoRowsFull(t *testing.T) {
 	m := New(FP32, 16, 16)
 	FillGaussian(m, rng.New(1), 0, 210)
 	before := append([]float64(nil), m.Values()...)
-	SortIntoRows(m, 1)
+	PartialSort(m, IntoRows, 1)
 	after := m.Values()
 	if !sort.Float64sAreSorted(after) {
 		t.Error("full sort should produce ascending row-major order")
@@ -276,7 +276,7 @@ func TestSortIntoRowsPartial(t *testing.T) {
 	m := New(FP32, 16, 16)
 	FillGaussian(m, rng.New(2), 0, 210)
 	orig := m.Clone()
-	SortIntoRows(m, 0.5)
+	PartialSort(m, IntoRows, 0.5)
 	n := len(m.Bits)
 	k := n / 2
 	// First half must be ascending.
@@ -309,7 +309,7 @@ func TestSortIntoRowsZeroIsNoop(t *testing.T) {
 	m := New(FP16, 8, 8)
 	FillGaussian(m, rng.New(3), 0, 210)
 	orig := m.Clone()
-	SortIntoRows(m, 0)
+	PartialSort(m, IntoRows, 0)
 	if !m.Equal(orig) {
 		t.Error("frac=0 should be a no-op")
 	}
@@ -318,7 +318,7 @@ func TestSortIntoRowsZeroIsNoop(t *testing.T) {
 func TestSortIntoCols(t *testing.T) {
 	m := New(FP32, 8, 8)
 	FillGaussian(m, rng.New(4), 0, 210)
-	SortIntoCols(m, 1)
+	PartialSort(m, IntoCols, 1)
 	// Column-major walk must be ascending.
 	prev := math.Inf(-1)
 	for j := 0; j < m.Cols; j++ {
@@ -344,7 +344,7 @@ func TestSortWithinRows(t *testing.T) {
 		sort.Float64s(vals)
 		rowSets[i] = vals
 	}
-	SortWithinRows(m, 1)
+	PartialSort(m, WithinRows, 1)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			if m.Value(i, j) != rowSets[i][j] {
@@ -366,7 +366,7 @@ func TestSortWithinRowsPartialKeepsRows(t *testing.T) {
 		sort.Float64s(vals)
 		rowMultisets[i] = vals
 	}
-	SortWithinRows(m, 0.5)
+	PartialSort(m, WithinRows, 0.5)
 	for i := 0; i < m.Rows; i++ {
 		vals := make([]float64, m.Cols)
 		for j := 0; j < m.Cols; j++ {
@@ -574,7 +574,7 @@ func TestSortingReducesRowToggle(t *testing.T) {
 	m := New(FP16, 32, 32)
 	FillGaussian(m, rng.New(11), 0, 210)
 	before := m.MeanRowToggle()
-	SortIntoRows(m, 1)
+	PartialSort(m, IntoRows, 1)
 	after := m.MeanRowToggle()
 	if after >= before {
 		t.Errorf("sorting should reduce row toggle: before=%v after=%v", before, after)

@@ -121,8 +121,8 @@ func requireEqualWords(t *testing.T, got, want *Matrix, kind sortKind, frac floa
 	}
 }
 
-// FuzzPartialSort holds SortIntoRows, SortIntoCols and SortWithinRows,
-// and the same sorts derived from a full sort, to the original
+// FuzzPartialSort holds PartialSort at each Placement, and the same
+// sorts derived from a full sort, to the original
 // packed-argsort implementation bit for bit, over every datatype,
 // shapes from 1×1 to 48×48, tied keys, NaN patterns and bits above the
 // datatype's width.

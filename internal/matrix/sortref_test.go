@@ -7,7 +7,7 @@ import "slices"
 // transform.go are checked against (FuzzPartialSort,
 // TestPartialSortMatchesReference). The functions from orderKeyFn to
 // colMajorOrder are unchanged from that implementation; refSort
-// replays its SortIntoRows/SortIntoCols/SortWithinRows bodies.
+// replays its row-wise, column-wise and within-row sort bodies.
 
 // orderKeyFn returns the raw-pattern → sortable-key mapping for a
 // datatype: the unsigned order of the key matches the decoded numeric
@@ -90,7 +90,7 @@ func partialSortInto(m *Matrix, frac float64, dst []int) {
 }
 
 // sortScratch holds the working buffers of partialSortIntoScratch so
-// per-row callers (SortWithinRows) can reuse them across many small
+// per-row callers (WithinRows) can reuse them across many small
 // sorts instead of reallocating three buffers per row.
 type sortScratch struct {
 	keys     []uint64
@@ -188,16 +188,7 @@ func (k sortKind) placement() Placement {
 }
 
 // apply runs the partial sort under test.
-func (k sortKind) apply(m *Matrix, frac float64) {
-	switch k {
-	case sortRows:
-		SortIntoRows(m, frac)
-	case sortCols:
-		SortIntoCols(m, frac)
-	default:
-		SortWithinRows(m, frac)
-	}
-}
+func (k sortKind) apply(m *Matrix, frac float64) { PartialSort(m, k.placement(), frac) }
 
 // refSort runs the reference implementation of the partial sort.
 func refSort(m *Matrix, kind sortKind, frac float64) {

@@ -7,19 +7,21 @@ import (
 	"repro/internal/softfloat"
 )
 
-// Bit-level aggregate statistics over matrices, used by the Fig. 8
-// analysis (bit alignment and Hamming weight versus power) and by the
-// power predictor's feature extraction.
+// Bit-level aggregate statistics over matrices. The chain computes its
+// own in activity's fused scans; tests use these bit statistics as
+// independent references.
 
 // MeanHammingWeight returns the average number of set bits per element
-// over the datatype's storage width.
+// over the datatype's storage width. Only tests call it: activity's
+// TestHammingWeightsReported and TestMeanHammingWeight.
 func (m *Matrix) MeanHammingWeight() float64 {
 	return bitops.MeanHamming(m.Bits, m.DType.Width())
 }
 
 // MeanSignificandWeight returns the average Hamming weight of the
 // arithmetic significand (with hidden bit for FP, magnitude for INT8),
-// the quantity that drives multiplier-array activity.
+// the quantity that drives multiplier-array activity. Only
+// TestMeanSignificandWeight calls it.
 func (m *Matrix) MeanSignificandWeight() float64 {
 	if len(m.Bits) == 0 {
 		return 0
@@ -48,7 +50,8 @@ func (m *Matrix) MeanSignificandWeight() float64 {
 
 // MeanAlignmentWith returns the average bit alignment (§IV-F) between
 // corresponding elements of m and o: 1 when all bits agree, 0 when all
-// differ. Shapes and dtypes must match.
+// differ. Shapes and dtypes must match. Only TestMeanAlignmentWith
+// calls it.
 func (m *Matrix) MeanAlignmentWith(o *Matrix) float64 {
 	if m.DType != o.DType || m.Rows != o.Rows || m.Cols != o.Cols {
 		panic("matrix: MeanAlignmentWith shape or dtype mismatch")
@@ -59,7 +62,8 @@ func (m *Matrix) MeanAlignmentWith(o *Matrix) float64 {
 // MeanRowToggle returns the average per-bit toggle rate between
 // horizontally adjacent elements, i.e. the switching activity a bus
 // would see streaming the matrix row-major. The result is normalized to
-// [0, 1] per bit lane.
+// [0, 1] per bit lane. Only tests call it: TestSortingReducesRowToggle
+// and patterns' TestSortedKinds.
 func (m *Matrix) MeanRowToggle() float64 {
 	width := m.DType.Width()
 	var sum int64

@@ -100,7 +100,7 @@ func sized(buf []uint32, n int) []uint32 {
 //
 // 8-bit keys, and 16-bit keys on large inputs, take one histogram pass
 // and one scatter (countingSort). FP32, and 16-bit keys on short
-// inputs such as SortWithinRows' rows, take a stable LSD radix sort
+// inputs such as WithinRows' rows, take a stable LSD radix sort
 // (radixSort). Both are linear in len(src).
 func (w *sortWork) sortInto(out, src []uint32, key orderKey) {
 	n := len(src)
@@ -254,12 +254,11 @@ type Placement uint8
 const (
 	// IntoRows sorts the lowest values, ascending, into the first
 	// row-major positions; the rest keep their relative order
-	// (SortIntoRows, Fig. 5a/5b).
+	// (Fig. 5a/5b).
 	IntoRows Placement = iota
-	// IntoCols does the same along the column-major walk (SortIntoCols,
-	// Fig. 5c).
+	// IntoCols does the same along the column-major walk (Fig. 5c).
 	IntoCols
-	// WithinRows sorts each row on its own (SortWithinRows, Fig. 5d).
+	// WithinRows sorts each row on its own (Fig. 5d).
 	WithinRows
 )
 
@@ -367,25 +366,6 @@ func DerivePartialSort(dst, src, full *Matrix, pl Placement, frac float64) {
 		derivePartial(dst.Bits, src.Bits, full.Bits, key, k)
 	}
 }
-
-// SortIntoRows partially sorts the matrix row-wise (§IV-C, Fig. 5a/5b):
-// the lowest frac of values are sorted into the first frac of row-major
-// indices.
-func SortIntoRows(m *Matrix, frac float64) { PartialSort(m, IntoRows, frac) }
-
-// SortIntoCols partially sorts the matrix column-wise (§IV-C, Fig. 5c):
-// the lowest frac of values are sorted into the first frac of
-// column-major indices.
-func SortIntoCols(m *Matrix, frac float64) { PartialSort(m, IntoCols, frac) }
-
-// SortWithinRows partially sorts each row independently (§IV-C,
-// Fig. 5d): within every row, the lowest frac of that row's values are
-// sorted into the row's first indices.
-func SortWithinRows(m *Matrix, frac float64) { PartialSort(m, WithinRows, frac) }
-
-// SortFully sorts every element ascending in row-major order, the
-// starting point of the sparsity-after-sorting experiment (Fig. 6b).
-func SortFully(m *Matrix) { SortIntoRows(m, 1) }
 
 // DeltaDenseFrac is the density cutoff shared by the tracked
 // transforms and activity's incremental delta scans: a touched list

@@ -211,7 +211,7 @@ func TestSparsifyReusesScratch(t *testing.T) {
 // BenchmarkTransform times the transforms of Figs. 4–6 on one 512²
 // operand: on FP16, the dense (p ≥ ¼) and geometric bit-flip paths,
 // sparsify's partial shuffle and LSB randomization; on FP32, one 50 %
-// SortIntoRows of a fresh copy of the operand (sort-rows), and one
+// IntoRows sort of a fresh copy of the operand (sort-rows), and one
 // full sort with the four nonzero fractions of a Fig. 5 panel derived
 // from it, as a campaign Run builds a panel's prefixes
 // (sort-fractions).
@@ -243,7 +243,7 @@ func BenchmarkTransform(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(m.Bits, orig.Bits)
-			SortIntoRows(m, 0.5)
+			PartialSort(m, IntoRows, 0.5)
 		}
 	})
 	b.Run("sort-fractions", func(b *testing.B) {

@@ -187,6 +187,7 @@ func (m *MetricSet) Snapshot() map[string]int64 {
 
 // Names returns the sorted metric names present in a snapshot-style
 // listing (gauge high-water entries included).
+// Only TestMetricSetIdentityAndSnapshot calls it.
 func (m *MetricSet) Names() []string {
 	snap := m.Snapshot()
 	names := make([]string, 0, len(snap))

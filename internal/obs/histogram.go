@@ -94,10 +94,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Scale reports the exposition divisor (1 for unit-less histograms,
-// 1e9 for latency histograms).
-func (h *Histogram) Scale() float64 { return h.scale }
-
 // Snapshot copies the current counts. Concurrent Observes may land
 // between bucket reads, so a snapshot is only guaranteed internally
 // consistent once writers have quiesced; totals never go backwards.
@@ -131,6 +127,7 @@ type HistogramSnapshot struct {
 // boundaries are fixed, merge is associative and commutative — the
 // property tests pin this. Merging snapshots with two different
 // non-zero scales is a unit bug and panics.
+// Only TestMergeAssociativeAndCommutative calls it.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	switch {
 	case s.Scale == 0:

@@ -51,6 +51,7 @@ func PromName(name string) string {
 
 // EscapeLabelValue escapes a label value per the Prometheus text
 // format: backslash, double quote and newline.
+// Only TestEscapeLabelValueTable calls it.
 func EscapeLabelValue(v string) string {
 	var b strings.Builder
 	b.Grow(len(v))

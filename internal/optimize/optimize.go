@@ -3,10 +3,9 @@
 //
 //   - MeanShift — move weight values toward larger means, which §IV-A
 //     (T2) shows reduces FP power;
-//   - SortNeurons — a permutation-invariant transformation that sorts
-//     the rows (output neurons) of a weight matrix to exploit the §IV-C
-//     placement savings while computing exactly the same function up to
-//     an output permutation;
+//   - OrderRowsByToggles and SortPerNeuron — permutations of the
+//     reduction dimension that exploit the §IV-C placement savings
+//     while computing the same function (sortgather.go);
 //   - MagnitudePrune — power-aware sparsity masks (§IV-D, T12).
 //
 // Each transformation reports how to undo or account for its effect so
@@ -15,11 +14,9 @@ package optimize
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/matrix"
-	"repro/internal/rng"
 )
 
 // MeanShiftResult describes a weight shift W' = W + delta.
@@ -44,102 +41,13 @@ func MeanShift(w *matrix.Matrix, targetMean float64) MeanShiftResult {
 	return MeanShiftResult{Delta: delta}
 }
 
-// SortNeuronsResult carries the permutation applied to the rows of a
-// weight matrix.
-type SortNeuronsResult struct {
-	// Perm maps new row index → original row index. Downstream
-	// consumers of the layer's outputs must apply the same permutation
-	// to their input dimension (or outputs can be un-permuted).
-	Perm []int
-}
-
-// rowRMS returns the root-mean-square magnitude of row i, the scale key
-// the sorting transforms order by (LLM weight matrices commonly have
-// per-channel scale structure; RMS captures it where the mean of a
-// zero-centered row cannot).
-func rowRMS(w *matrix.Matrix, i int) float64 {
-	var sum float64
-	for j := 0; j < w.Cols; j++ {
-		v := w.Value(i, j)
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(w.Cols))
-}
-
-// SortNeurons reorders the rows of a weight matrix (each row = one
-// output neuron) by ascending RMS scale, a permutation-invariant
-// transformation (§V, cf. PIT [46]): the layer computes the same set of
-// outputs, just in a different order. Within-row weight order is
-// untouched, so each neuron's function is bit-identical.
-//
-// Note: for the layer's *own* GEMM this reordering is power-neutral —
-// the kernel streams operands along the reduction dimension, which row
-// order does not touch. Its value is as the compensation step for
-// SortReductionDim applied to the *next* layer: permuting this layer's
-// output neurons is exactly what permutes the next layer's reduction
-// dimension.
-func SortNeurons(w *matrix.Matrix) SortNeuronsResult {
-	perm := rmsOrder(w)
-	applyRowPerm(w, perm)
-	return SortNeuronsResult{Perm: perm}
-}
-
-// rmsOrder returns row indices ordered by ascending row RMS.
-func rmsOrder(w *matrix.Matrix) []int {
-	keys := make([]float64, w.Rows)
-	for i := 0; i < w.Rows; i++ {
-		keys[i] = rowRMS(w, i)
-	}
-	perm := make([]int, w.Rows)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	return perm
-}
-
+// applyRowPerm reorders w's rows so that new row i is original row
+// perm[i].
 func applyRowPerm(w *matrix.Matrix, perm []int) {
 	orig := w.Clone()
 	for newIdx, origIdx := range perm {
 		copy(w.Row(newIdx), orig.Row(origIdx))
 	}
-}
-
-// SortReductionDimResult carries the permutation of the shared K
-// dimension.
-type SortReductionDimResult struct {
-	// Perm maps new k index → original k index. The same permutation
-	// must be applied to the other operand's columns (for activations
-	// A this happens for free when the previous layer's neurons are
-	// permuted with SortNeuronsByPerm).
-	Perm []int
-}
-
-// SortReductionDim reorders the rows of an operand-layout weight matrix
-// W (K, M) — the reduction dimension the GEMM kernel streams through
-// the datapath — by ascending row RMS. Grouping similarly-scaled rows
-// makes consecutive operands share exponent and high-mantissa bits,
-// cutting operand-bus toggles (§IV-C).
-//
-// The transformation is computation-preserving when the producer of the
-// K-dimension activations permutes its output neurons identically
-// (permutation-invariant transformation, §V / PIT [46]): each output
-// element still sums exactly the same products, merely in a different
-// order.
-func SortReductionDim(w *matrix.Matrix) SortReductionDimResult {
-	perm := rmsOrder(w)
-	applyRowPerm(w, perm)
-	return SortReductionDimResult{Perm: perm}
-}
-
-// SortNeuronsByPerm applies a given row permutation (new → old) to a
-// weight matrix — the upstream compensation for SortReductionDim.
-func SortNeuronsByPerm(w *matrix.Matrix, perm []int) error {
-	if len(perm) != w.Rows {
-		return fmt.Errorf("optimize: permutation length %d does not match rows %d", len(perm), w.Rows)
-	}
-	applyRowPerm(w, perm)
-	return nil
 }
 
 // PermuteColumns applies a column permutation (new → old) to a matrix —
@@ -157,29 +65,6 @@ func PermuteColumns(m *matrix.Matrix, perm []int) error {
 		}
 	}
 	return nil
-}
-
-// UnpermuteOutputs restores the original output order of a vector
-// produced by a SortNeurons-transformed layer.
-func UnpermuteOutputs(perm []int, outputs []float64) ([]float64, error) {
-	if len(perm) != len(outputs) {
-		return nil, fmt.Errorf("optimize: permutation length %d does not match outputs %d",
-			len(perm), len(outputs))
-	}
-	restored := make([]float64, len(outputs))
-	for newIdx, origIdx := range perm {
-		restored[origIdx] = outputs[newIdx]
-	}
-	return restored, nil
-}
-
-// SortWithinNeurons sorts the weights inside each row. This is NOT
-// computation-preserving for a plain linear layer (inputs would need
-// the matching per-row permutation); it exists to quantify the upper
-// bound of placement savings (§IV-C Fig. 5d) for architectures that can
-// permute per-neuron inputs (e.g. via gather indices).
-func SortWithinNeurons(w *matrix.Matrix) {
-	matrix.SortWithinRows(w, 1)
 }
 
 // PruneResult describes a sparsity mask application.
@@ -229,19 +114,5 @@ func MagnitudePrune(w *matrix.Matrix, sparsity float64) PruneResult {
 		Pruned:           k,
 		TargetSparsity:   sparsity,
 		AchievedSparsity: float64(zeros) / float64(n),
-	}
-}
-
-// RandomPrune zeroes a uniformly random fraction of weights, the
-// baseline mask MagnitudePrune is compared against.
-func RandomPrune(w *matrix.Matrix, src *rng.Source, sparsity float64) PruneResult {
-	before := w.NonZeroFraction()
-	matrix.Sparsify(w, src, sparsity)
-	after := w.NonZeroFraction()
-	n := len(w.Bits)
-	return PruneResult{
-		Pruned:           int((before - after) * float64(n)),
-		TargetSparsity:   sparsity,
-		AchievedSparsity: 1 - after,
 	}
 }

@@ -41,85 +41,6 @@ func TestMeanShiftPreservesSpread(t *testing.T) {
 	}
 }
 
-func TestSortNeuronsIsRowPermutation(t *testing.T) {
-	w := weightMatrix(matrix.FP16, 32, 3)
-	orig := w.Clone()
-	res := SortNeurons(w)
-
-	// Perm must be a permutation.
-	seen := make([]bool, w.Rows)
-	for _, p := range res.Perm {
-		if p < 0 || p >= w.Rows || seen[p] {
-			t.Fatal("invalid permutation")
-		}
-		seen[p] = true
-	}
-	// Every new row must be bit-identical to the original row it claims
-	// to be (neurons untouched, just reordered).
-	for newIdx, origIdx := range res.Perm {
-		for j := 0; j < w.Cols; j++ {
-			if w.At(newIdx, j) != orig.At(origIdx, j) {
-				t.Fatalf("row %d is not original row %d", newIdx, origIdx)
-			}
-		}
-	}
-	// Rows must be ordered by ascending RMS scale.
-	prev := math.Inf(-1)
-	for i := 0; i < w.Rows; i++ {
-		var sum float64
-		for j := 0; j < w.Cols; j++ {
-			v := w.Value(i, j)
-			sum += v * v
-		}
-		m := math.Sqrt(sum / float64(w.Cols))
-		if m < prev-1e-12 {
-			t.Fatal("rows not sorted by RMS")
-		}
-		prev = m
-	}
-}
-
-func TestSortNeuronsComputationEquivalent(t *testing.T) {
-	// y' = W'x must equal P·(Wx): same outputs, permuted order.
-	w := weightMatrix(matrix.FP32, 16, 4)
-	orig := w.Clone()
-	res := SortNeurons(w)
-
-	x := make([]float64, w.Cols)
-	src := rng.New(9)
-	for i := range x {
-		x[i] = src.Gaussian(0, 1)
-	}
-	mul := func(m *matrix.Matrix) []float64 {
-		out := make([]float64, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			var acc float64
-			for j := 0; j < m.Cols; j++ {
-				acc += m.Value(i, j) * x[j]
-			}
-			out[i] = acc
-		}
-		return out
-	}
-	yOrig := mul(orig)
-	ySorted := mul(w)
-	restored, err := UnpermuteOutputs(res.Perm, ySorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range yOrig {
-		if math.Abs(restored[i]-yOrig[i]) > 1e-12 {
-			t.Fatalf("output %d differs after unpermute: %v vs %v", i, restored[i], yOrig[i])
-		}
-	}
-}
-
-func TestUnpermuteOutputsLengthMismatch(t *testing.T) {
-	if _, err := UnpermuteOutputs([]int{0, 1}, []float64{1}); err == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
 func TestMagnitudePrune(t *testing.T) {
 	w := weightMatrix(matrix.FP32, 32, 5)
 	vals := w.Values()
@@ -155,29 +76,6 @@ func TestMagnitudePruneClamps(t *testing.T) {
 	}
 }
 
-func TestRandomPrune(t *testing.T) {
-	w := weightMatrix(matrix.FP32, 32, 7)
-	res := RandomPrune(w, rng.New(1), 0.3)
-	if math.Abs(res.AchievedSparsity-0.3) > 0.03 {
-		t.Errorf("random prune achieved %v, want ≈0.3", res.AchievedSparsity)
-	}
-}
-
-func TestSortWithinNeurons(t *testing.T) {
-	w := weightMatrix(matrix.FP16, 16, 8)
-	SortWithinNeurons(w)
-	for i := 0; i < w.Rows; i++ {
-		prev := math.Inf(-1)
-		for j := 0; j < w.Cols; j++ {
-			v := w.Value(i, j)
-			if v < prev {
-				t.Fatalf("row %d not sorted", i)
-			}
-			prev = v
-		}
-	}
-}
-
 // scaleStructuredWeights builds an operand-layout weight matrix (K, M)
 // whose rows span several binades of scale in shuffled order — the
 // per-channel scale structure LLM weight matrices commonly show.
@@ -199,8 +97,9 @@ func scaleStructuredWeights(dt matrix.DType, k, m int, seed uint64) *matrix.Matr
 
 func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	// The §V payoff: permuting the shared reduction dimension (weights'
-	// rows + activations' columns) cuts power while computing the same
-	// result — the permutation-invariant transformation in action.
+	// rows + activations' columns) into toggle order cuts power while
+	// computing the same result — the permutation-invariant
+	// transformation in action.
 	sim, err := core.NewSimulator(device.A100PCIe())
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +121,7 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	}
 
 	sortedW := weights.Clone()
-	res := SortReductionDim(sortedW)
+	res := OrderRowsByToggles(sortedW, 0, nil)
 	permActs := acts.Clone()
 	if err := PermuteColumns(permActs, res.Perm); err != nil {
 		t.Fatal(err)
@@ -243,7 +142,7 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	patterns.Gaussian(0, 25).Apply(ai, rng.Derive(3, "acts"))
 	wi := scaleStructuredWeights(matrix.INT8, 24, 24, 4)
 	wiSorted := wi.Clone()
-	resI := SortReductionDim(wiSorted)
+	resI := OrderRowsByToggles(wiSorted, 0, nil)
 	aiPerm := ai.Clone()
 	if err := PermuteColumns(aiPerm, resI.Perm); err != nil {
 		t.Fatal(err)

@@ -21,10 +21,9 @@ import (
 //     tables.
 //
 //   - OrderRowsByToggles — a single global reduction-dimension
-//     permutation (free to apply via the upstream layer, like
-//     SortReductionDim) chosen greedily to minimize the measured
-//     toggle distance between consecutive rows, rather than a scale
-//     proxy. Related in spirit to learned row-permutation work for
+//     permutation (free to apply via the upstream layer) chosen
+//     greedily to minimize the measured toggle distance between
+//     consecutive rows, rather than a scale proxy. Related in spirit to learned row-permutation work for
 //     sparse GEMM (Mehrabi et al.) and toggle-aware compression
 //     (Pekhimenko et al.). Gains are honest but modest on unstructured
 //     weights: a single permutation cannot sort every column at once.
@@ -93,9 +92,12 @@ type OrderRowsByTogglesResult struct {
 // OrderRowsByToggles greedily orders the rows of an operand-layout
 // weight matrix to minimize bit toggles between consecutive rows,
 // estimating row distances on sampleCols sampled columns (0 = all
-// columns; sampling keeps the O(K²) pass fast). Like SortReductionDim,
-// the permutation is computation-preserving when the upstream layer's
-// neurons are permuted to match.
+// columns; sampling keeps the O(K²) pass fast). Grouping similar rows
+// makes consecutive operands share exponent and high-mantissa bits,
+// cutting operand-bus toggles (§IV-C). The permutation is
+// computation-preserving when the activations' columns (the upstream
+// layer's neurons) are permuted to match (PermuteColumns): each output
+// element still sums exactly the same products, in a different order.
 func OrderRowsByToggles(w *matrix.Matrix, sampleCols int, src *rng.Source) OrderRowsByTogglesResult {
 	k := w.Rows
 	cols := columnsSample(w.Cols, sampleCols, src)

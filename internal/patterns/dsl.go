@@ -92,6 +92,8 @@ func Canonicalize(input string) (string, error) {
 }
 
 // MustParse is Parse that panics on error, for static pattern literals.
+// Only tests call it: TestDSLMatchesBuilders and the serve and core
+// pin tests.
 func MustParse(input string) Pattern {
 	p, err := Parse(input)
 	if err != nil {

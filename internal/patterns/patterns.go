@@ -272,10 +272,10 @@ type SortKind string
 const (
 	// SortRows places the lowest fraction of values, ascending, into
 	// the first row-major positions; the rest keep their relative
-	// order (matrix.SortIntoRows, Fig. 5a).
+	// order (matrix.IntoRows, Fig. 5a).
 	SortRows SortKind = "rows"
-	// SortCols does the same in column-major order
-	// (matrix.SortIntoCols, Fig. 5c).
+	// SortCols does the same in column-major order (matrix.IntoCols,
+	// Fig. 5c).
 	SortCols SortKind = "cols"
 	// SortWithinRows sorts the values inside each row independently
 	// (Fig. 5d).

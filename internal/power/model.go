@@ -37,6 +37,7 @@ func (b Breakdown) DynamicW() float64 {
 }
 
 // TotalW returns the full kernel-active power.
+// Only tests call it: TestBreakdownSumsToAvgPower.
 func (b Breakdown) TotalW() float64 {
 	return b.StaticW + b.IssueW + b.DynamicW()
 }

@@ -265,7 +265,7 @@ func TestPredictorRecoversCoefficients(t *testing.T) {
 		},
 		func(m *matrix.Matrix, src *rng.Source) {
 			matrix.FillGaussian(m, src, 0, 210)
-			matrix.SortIntoRows(m, 1)
+			matrix.PartialSort(m, matrix.IntoRows, 1)
 		},
 		func(m *matrix.Matrix, src *rng.Source) {
 			matrix.FillConstant(m, 42)

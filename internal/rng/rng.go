@@ -93,6 +93,8 @@ func (s *Source) Fill(dst []uint64) {
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
+// Only tests call it, to draw raw bit patterns (TestUint32HighBits,
+// FuzzBitFlipsMatchesReference).
 func (s *Source) Uint32() uint32 { return uint32(s.Uint64() >> 32) }
 
 // Float64 returns a uniform variate in [0, 1) with 53 bits of precision.

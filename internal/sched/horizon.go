@@ -92,6 +92,9 @@ func (p PredictiveHorizon) Place(job Job, cands []Candidate, fleet Fleet) int {
 // a *horizon* rather than an exact solver. The computation is
 // deterministic: breakpoints are summed in time order, and at equal
 // times committed ones (in fleet order) precede the extra segment's.
+// Only tests call it: FuzzProjectedPeakW and
+// TestHorizonMatchesReference hold it, and the per-admission sweep
+// PredictiveHorizon runs, to projectedPeakWRef.
 func ProjectedPeakW(timelines [][]PowerSegment, extraStartS, extraDurS, extraDynW, windowS, padS float64) float64 {
 	h := newHorizon(timelines, windowS, padS)
 	defer horizonPool.Put(h)

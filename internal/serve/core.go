@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/patterns"
 	"repro/internal/power"
 )
 
@@ -146,6 +144,7 @@ func (c *Core) Histograms() map[string]obs.HistogramSnapshot {
 func (c *Core) PromMetrics() obs.PromSnapshot { return c.metrics.PromSnapshot() }
 
 // CacheHitRate returns hits/(hits+misses) over the core's lifetime.
+// Only tests call it: TestCacheHitRateOnRepeatedWorkload.
 func (c *Core) CacheHitRate() float64 { return obs.HitRate(c.hits, c.misses) }
 
 // CacheLen returns the number of cached predictions.
@@ -329,6 +328,14 @@ func (c *Core) Train(ctx context.Context, req TrainRequest) (*TrainResponse, err
 		cfg.Sizes = req.Sizes
 	}
 	if len(req.Patterns) > 0 {
+		// Bound and parse each spelling as /predict does, before any
+		// sweep starts: a bad corpus is the client's fault.
+		for _, p := range req.Patterns {
+			if _, err := parsePattern(p); err != nil {
+				c.failures.Inc()
+				return nil, err
+			}
+		}
 		cfg.Patterns = req.Patterns
 	}
 	if req.Seed != 0 {
@@ -342,11 +349,6 @@ func (c *Core) Train(ctx context.Context, req TrainRequest) (*TrainResponse, err
 	entry, err := c.registry.Retrain(dev, dt, cfg)
 	if err != nil {
 		c.failures.Inc()
-		// A corpus the DSL cannot parse is the client's fault.
-		var pe *patterns.ParseError
-		if errors.As(err, &pe) {
-			return nil, badRequestf("%v", err)
-		}
 		return nil, err
 	}
 	purged := c.cache.Purge(func(k Key) bool {

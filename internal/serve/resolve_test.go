@@ -103,6 +103,14 @@ func TestResolveRequestStageBound(t *testing.T) {
 	if _, ok := err.(*RequestError); !ok || err.Error() != want {
 		t.Fatalf("%d stages: error %v, want RequestError %q", MaxPatternStages+1, err, want)
 	}
+
+	// A training corpus obeys the same bound, before any sweep runs.
+	c := NewCore(testConfig())
+	defer c.Close()
+	_, err = c.Train(context.Background(), TrainRequest{Patterns: []string{"constant(7)", chain(MaxPatternStages + 1)}})
+	if _, ok := err.(*RequestError); !ok || err.Error() != want {
+		t.Fatalf("/train with %d stages: error %v, want RequestError %q", MaxPatternStages+1, err, want)
+	}
 }
 
 func TestPatternTableBound(t *testing.T) {

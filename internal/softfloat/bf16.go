@@ -13,7 +13,6 @@ import "math"
 
 // Bfloat16 field layout constants.
 const (
-	BF16SignMask uint16 = 0x8000
 	BF16ExpMask  uint16 = 0x7F80
 	BF16MantMask uint16 = 0x007F
 	BF16MantBits        = 7
@@ -42,22 +41,13 @@ func BF16ToF32(h uint16) float32 {
 	return math.Float32frombits(uint32(h) << 16)
 }
 
-// MulBF16 returns the correctly rounded bfloat16 product. The product of
-// two 8-bit significands is exact in binary32 (16 < 24 bits).
-func MulBF16(a, b uint16) uint16 {
-	return F32ToBF16(BF16ToF32(a) * BF16ToF32(b))
-}
-
 // FMABF16To32 performs the tensor-core MMA step for bfloat16 operands
 // with FP32 accumulation (the only accumulate mode NVIDIA exposes for
 // BF16).
+// Only tests call it: goldenRun, the row-at-a-time port that
+// TestRunBitIdenticalToGolden holds kernels.Run to.
 func FMABF16To32(a, b uint16, acc float32) float32 {
 	return acc + BF16ToF32(a)*BF16ToF32(b)
-}
-
-// IsNaNBF16 reports whether h encodes a bfloat16 NaN.
-func IsNaNBF16(h uint16) bool {
-	return h&BF16ExpMask == BF16ExpMask && h&BF16MantMask != 0
 }
 
 // SignificandBF16 returns the 8-bit significand including the hidden

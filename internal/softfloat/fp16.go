@@ -180,9 +180,6 @@ func f16ToF32Compute(h uint16) float32 {
 	}
 }
 
-// F16MantMaskU32 returns the binary16 mantissa mask widened to uint32.
-func F16MantMaskU32() uint32 { return uint32(F16MantMask) }
-
 // Mul16 returns the correctly rounded binary16 product of two binary16
 // values.
 func Mul16(a, b uint16) uint16 {
@@ -198,6 +195,8 @@ func Add16(a, b uint16) uint16 {
 // FMA16 performs a fused multiply-add entirely in binary16 precision:
 // round16(round16(a*b) + c). This models the plain (non-tensor-core)
 // FP16 GEMM datapath, which accumulates in FP16.
+// Only tests call it: goldenRun, the row-at-a-time port that
+// TestRunBitIdenticalToGolden holds kernels.Run to.
 func FMA16(a, b, c uint16) uint16 {
 	return Add16(Mul16(a, b), c)
 }
@@ -205,18 +204,10 @@ func FMA16(a, b, c uint16) uint16 {
 // FMA16To32 performs the tensor-core MMA step: binary16 operands
 // multiplied exactly and accumulated into an FP32 register. The product
 // of two binary16 values is exact in binary32.
+// Only tests call it: goldenRun, the row-at-a-time port that
+// TestRunBitIdenticalToGolden holds kernels.Run to.
 func FMA16To32(a, b uint16, acc float32) float32 {
 	return acc + F16ToF32(a)*F16ToF32(b)
-}
-
-// IsNaN16 reports whether h encodes a binary16 NaN.
-func IsNaN16(h uint16) bool {
-	return h&F16ExpMask == F16ExpMask && h&F16MantMask != 0
-}
-
-// IsInf16 reports whether h encodes a binary16 infinity of either sign.
-func IsInf16(h uint16) bool {
-	return h&0x7FFF == f16Inf
 }
 
 // Significand16 returns the 11-bit significand of h including the hidden

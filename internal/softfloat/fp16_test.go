@@ -126,7 +126,7 @@ func TestRoundTripAllF16(t *testing.T) {
 	// exactly.
 	for h := uint32(0); h <= 0xFFFF; h++ {
 		hb := uint16(h)
-		if IsNaN16(hb) {
+		if v := F16ToF32(hb); v != v {
 			continue
 		}
 		back := F32ToF16(F16ToF32(hb))
@@ -233,7 +233,7 @@ func TestMul16(t *testing.T) {
 	}
 	// Overflow saturates to infinity.
 	big := F32ToF16(60000)
-	if !IsInf16(Mul16(big, two)) {
+	if !math.IsInf(float64(F16ToF32(Mul16(big, two))), 0) {
 		t.Error("60000*2 should overflow to inf")
 	}
 	// Multiplication by zero gates to zero.
@@ -259,10 +259,11 @@ func TestAdd16(t *testing.T) {
 func TestMul16CorrectlyRounded(t *testing.T) {
 	// Against float64 reference with explicit RNE to the f16 grid.
 	f := func(x, y uint16) bool {
-		if IsNaN16(x) || IsNaN16(y) || IsInf16(x) || IsInf16(y) {
+		fx, fy := float64(F16ToF32(x)), float64(F16ToF32(y))
+		if math.IsNaN(fx) || math.IsNaN(fy) || math.IsInf(fx, 0) || math.IsInf(fy, 0) {
 			return true
 		}
-		want := F32ToF16(float32(float64(F16ToF32(x)) * float64(F16ToF32(y))))
+		want := F32ToF16(float32(fx * fy))
 		return Mul16(x, y) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
@@ -298,7 +299,7 @@ func TestSignificand16(t *testing.T) {
 }
 
 func TestSignificand32(t *testing.T) {
-	if got := Significand32(F32Bits(1)); got != 1<<23 {
+	if got := Significand32(math.Float32bits(1)); got != 1<<23 {
 		t.Errorf("significand of 1.0f = %#x", got)
 	}
 	if got := Significand32(0); got != 0 {
@@ -342,15 +343,6 @@ func TestI8Magnitude(t *testing.T) {
 	}
 	if I8Magnitude(0) != 0 {
 		t.Error("magnitude of 0 should be 0")
-	}
-}
-
-func TestI8Bits(t *testing.T) {
-	if I8Bits(-1) != 0xFF {
-		t.Error("two's complement of -1 should be 0xFF")
-	}
-	if I8Bits(1) != 0x01 {
-		t.Error("bits of 1 should be 0x01")
 	}
 }
 

@@ -7,12 +7,8 @@ const (
 	F32SignMask uint32 = 0x80000000
 	F32ExpMask  uint32 = 0x7F800000
 	F32MantMask uint32 = 0x007FFFFF
-	F32ExpBias         = 127
 	F32MantBits        = 23
 )
-
-// F32Bits returns the raw bit pattern of f.
-func F32Bits(f float32) uint32 { return math.Float32bits(f) }
 
 // F32FromBits reinterprets a bit pattern as FP32.
 func F32FromBits(b uint32) float32 { return math.Float32frombits(b) }
@@ -27,12 +23,6 @@ func Significand32(b uint32) uint32 {
 	}
 	return mant
 }
-
-// Exponent32 returns the biased exponent field of the bit pattern.
-func Exponent32(b uint32) uint32 { return (b & F32ExpMask) >> F32MantBits }
-
-// Exponent16 returns the biased exponent field of a binary16 pattern.
-func Exponent16(h uint16) uint16 { return (h & F16ExpMask) >> F16MantBits }
 
 // MulF32 returns a*b under a fixed NaN rule: when a is NaN, the
 // result is a, quieted, as an SSE multiply whose first source is a

@@ -13,13 +13,11 @@ import "math/bits"
 // identical by construction (and verified exhaustively in lut_test.go).
 var (
 	f16DecodeLUT  [1 << 16]float32
-	bf16DecodeLUT [1 << 16]float32
 	sig16PopLUT   [1 << 16]uint8
 	sigBF16PopLUT [1 << 16]uint8
-	magI8PopLUT   [1 << 8]uint8
-	// magI8PopWideLUT widens the INT8 table to the 16-bit index space so
-	// the 8-bit lane can share the 16-bit scan loops (INT8 patterns only
-	// ever occupy the low byte).
+	// magI8PopWideLUT indexes the INT8 magnitude weight by a 16-bit
+	// pattern so the 8-bit lane can share the 16-bit scan loops (INT8
+	// patterns only ever occupy the low byte).
 	magI8PopWideLUT [1 << 16]uint8
 )
 
@@ -27,46 +25,25 @@ func init() {
 	for i := range f16DecodeLUT {
 		h := uint16(i)
 		f16DecodeLUT[i] = f16ToF32Compute(h)
-		bf16DecodeLUT[i] = BF16ToF32(h)
 		sig16PopLUT[i] = uint8(bits.OnesCount32(Significand16(h)))
 		sigBF16PopLUT[i] = uint8(bits.OnesCount32(SignificandBF16(h)))
-	}
-	for i := range magI8PopLUT {
-		magI8PopLUT[i] = uint8(bits.OnesCount32(I8Magnitude(int8(uint8(i)))))
-	}
-	for i := range magI8PopWideLUT {
-		magI8PopWideLUT[i] = magI8PopLUT[i&0xFF]
+		magI8PopWideLUT[i] = uint8(bits.OnesCount32(I8Magnitude(int8(uint8(i)))))
 	}
 }
-
-// DecodeBF16 returns the FP32 value of a bfloat16 pattern via table
-// lookup. Identical to BF16ToF32 for every pattern.
-func DecodeBF16(h uint16) float32 { return bf16DecodeLUT[h] }
-
-// SigPop16 returns the Hamming weight of the binary16 significand
-// (hidden bit included for normal numbers) via table lookup. Identical
-// to Popcount(Significand16(h)) for every pattern.
-func SigPop16(h uint16) int { return int(sig16PopLUT[h]) }
-
-// SigPopBF16 returns the Hamming weight of the bfloat16 significand via
-// table lookup.
-func SigPopBF16(h uint16) int { return int(sigBF16PopLUT[h]) }
 
 // SigPop32 returns the Hamming weight of the binary32 significand
 // (hidden bit included for normal numbers).
 func SigPop32(b uint32) int { return bits.OnesCount32(Significand32(b)) }
 
-// MagPopI8 returns the Hamming weight of the INT8 magnitude via table
-// lookup over the two's-complement pattern.
-func MagPopI8(b uint8) int { return int(magI8PopLUT[b]) }
-
 // SigPop16Table exposes the binary16 significand-weight table for hot
-// loops that index it directly (avoiding a per-element call).
+// loops that index it directly: entry h is the Hamming weight of
+// Significand16(h).
 func SigPop16Table() *[1 << 16]uint8 { return &sig16PopLUT }
 
 // SigPopBF16Table exposes the bfloat16 significand-weight table.
 func SigPopBF16Table() *[1 << 16]uint8 { return &sigBF16PopLUT }
 
-// MagPopI8WideTable exposes the INT8 magnitude-weight table widened to
-// 16-bit indexing, for loops shared with the 16-bit formats.
+// MagPopI8WideTable exposes the INT8 magnitude-weight table at 16-bit
+// indexing, for loops shared with the 16-bit formats: entry h is the
+// Hamming weight of I8Magnitude of h's low byte.
 func MagPopI8WideTable() *[1 << 16]uint8 { return &magI8PopWideLUT }

@@ -23,31 +23,18 @@ func TestF16DecodeLUTExhaustive(t *testing.T) {
 	}
 }
 
-func TestBF16DecodeLUTExhaustive(t *testing.T) {
-	for i := 0; i <= 0xFFFF; i++ {
-		h := uint16(i)
-		got := math.Float32bits(DecodeBF16(h))
-		want := math.Float32bits(BF16ToF32(h))
-		if got != want {
-			t.Fatalf("DecodeBF16(%#04x): LUT bits %#08x, computed %#08x", h, got, want)
-		}
-	}
-}
-
 func TestSigPopLUTsExhaustive(t *testing.T) {
+	sig16, sigBF16, magI8 := SigPop16Table(), SigPopBF16Table(), MagPopI8WideTable()
 	for i := 0; i <= 0xFFFF; i++ {
 		h := uint16(i)
-		if got, want := SigPop16(h), bits.OnesCount32(Significand16(h)); got != want {
-			t.Fatalf("SigPop16(%#04x) = %d, want %d", h, got, want)
+		if got, want := int(sig16[h]), bits.OnesCount32(Significand16(h)); got != want {
+			t.Fatalf("SigPop16Table()[%#04x] = %d, want %d", h, got, want)
 		}
-		if got, want := SigPopBF16(h), bits.OnesCount32(SignificandBF16(h)); got != want {
-			t.Fatalf("SigPopBF16(%#04x) = %d, want %d", h, got, want)
+		if got, want := int(sigBF16[h]), bits.OnesCount32(SignificandBF16(h)); got != want {
+			t.Fatalf("SigPopBF16Table()[%#04x] = %d, want %d", h, got, want)
 		}
-	}
-	for i := 0; i <= 0xFF; i++ {
-		b := uint8(i)
-		if got, want := MagPopI8(b), bits.OnesCount32(I8Magnitude(int8(b))); got != want {
-			t.Fatalf("MagPopI8(%#02x) = %d, want %d", b, got, want)
+		if got, want := int(magI8[h]), bits.OnesCount32(I8Magnitude(int8(uint8(h)))); got != want {
+			t.Fatalf("MagPopI8WideTable()[%#04x] = %d, want %d", h, got, want)
 		}
 	}
 }

@@ -49,24 +49,6 @@ func StdErr(xs []float64) float64 {
 	return StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
-// MinMax returns the smallest and largest values. It panics on empty
-// input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Pearson returns the Pearson correlation coefficient between paired
 // samples. It returns 0 when either sample has zero variance and panics
 // on length mismatch.
@@ -90,27 +72,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// LinearFit fits y = a + b·x by least squares and returns the intercept
-// and slope. It panics on length mismatch and returns a horizontal fit
-// when x has zero variance.
-func LinearFit(xs, ys []float64) (a, b float64) {
-	if len(xs) != len(ys) {
-		panic("stats: LinearFit length mismatch")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return my, 0
-	}
-	b = sxy / sxx
-	return my - b*mx, b
 }
 
 // ErrSingular is returned by MultiFit when the normal equations are

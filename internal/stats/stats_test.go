@@ -45,19 +45,6 @@ func TestStdErr(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Errorf("MinMax = %v,%v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty MinMax")
-		}
-	}()
-	MinMax(nil)
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -94,20 +81,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{5, 7, 9, 11} // y = 5 + 2x
-	a, b := LinearFit(xs, ys)
-	if !almostEq(a, 5, 1e-9) || !almostEq(b, 2, 1e-9) {
-		t.Errorf("fit = %v + %v x", a, b)
-	}
-	// Zero-variance x gives horizontal fit through the mean.
-	a, b = LinearFit([]float64{2, 2}, []float64{1, 3})
-	if a != 2 || b != 0 {
-		t.Errorf("degenerate fit = %v + %v x", a, b)
 	}
 }
 
