@@ -43,12 +43,11 @@ var (
 )
 
 // defaultFilter gates the figure benchmarks plus the engine
-// microbenchmarks behind them: the per-dtype GEMM kernel runs
-// (BenchmarkGEMM/<dtype>) and full activity analyses
-// (BenchmarkActivity/<dtype>). A kernel or analyzer regression then
-// fails the gate directly, with a per-dtype culprit, instead of only
-// surfacing as a diluted slowdown of whichever figures exercise it.
-const defaultFilter = `^Benchmark(Fig|GEMM/|Activity/)`
+// microbenchmark behind them: full activity analyses
+// (BenchmarkActivity/<dtype>). An analyzer regression then fails the
+// gate directly, with a per-dtype culprit, instead of only surfacing
+// as a diluted slowdown of whichever figures exercise it.
+const defaultFilter = `^Benchmark(Fig|Activity/)`
 
 type testEvent struct {
 	Action string `json:"Action"`

@@ -84,17 +84,17 @@ func TestParseStreams(t *testing.T) {
 func TestParseMedianOfRepeats(t *testing.T) {
 	var repeats strings.Builder
 	for _, ns := range []float64{101, 98, 104, 99, 300} {
-		repeats.WriteString(memEvent("BenchmarkGEMM/INT8", ns, 10))
+		repeats.WriteString(memEvent("BenchmarkActivity/INT8", ns, 10))
 	}
 	cur := writeFile(t, "cur.json", repeats.String())
 	got, err := parse(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := got["BenchmarkGEMM/INT8"]; m.ns != 101 || !m.hasAllocs || m.allocs != 10 {
-		t.Errorf("BenchmarkGEMM/INT8 = %+v, want the median 101 ns with 10 allocs", m)
+	if m := got["BenchmarkActivity/INT8"]; m.ns != 101 || !m.hasAllocs || m.allocs != 10 {
+		t.Errorf("BenchmarkActivity/INT8 = %+v, want the median 101 ns with 10 allocs", m)
 	}
-	old := writeFile(t, "old.json", memEvent("BenchmarkGEMM/INT8", 100, 10))
+	old := writeFile(t, "old.json", memEvent("BenchmarkActivity/INT8", 100, 10))
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{old, cur}, &stdout, &stderr); code != 0 {
 		t.Errorf("exit = %d, want 0: the median is within threshold\n%s", code, stdout.String())
@@ -149,15 +149,15 @@ func TestGateThresholdBoundary(t *testing.T) {
 
 func TestDefaultFilterCoverage(t *testing.T) {
 	// The default gate covers the figure benchmarks and the per-dtype
-	// engine microbenchmarks, but not unrelated or aggregate names —
-	// BenchmarkGEMM without a sub-benchmark would double-gate the same
-	// kernels its /<dtype> children already cover.
+	// activity microbenchmarks, but not unrelated or aggregate names —
+	// BenchmarkActivity without a sub-benchmark would double-gate the
+	// same analyses its /<dtype> children already cover.
 	re := regexp.MustCompile(defaultFilter)
 	gated := []string{
 		"BenchmarkFig1Runtime",
 		"BenchmarkFig6aSparsity",
-		"BenchmarkGEMM/FP16-T",
-		"BenchmarkGEMM/INT8",
+		"BenchmarkActivity/FP16-T",
+		"BenchmarkActivity/INT8",
 		"BenchmarkActivity/FP32",
 		"BenchmarkActivity/BF16-T",
 	}
@@ -169,6 +169,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 	ungated := []string{
 		"BenchmarkReference",
 		"BenchmarkGEMM",
+		"BenchmarkActivity",
 		"BenchmarkAnalyze256FP16",
 		"BenchmarkPredict",
 		"BenchmarkEngineTick",
@@ -192,8 +193,8 @@ func TestDefaultFilterCoverage(t *testing.T) {
 
 	// End to end through run(): a regression in a /<dtype> engine
 	// microbenchmark fails the default gate.
-	old := writeFile(t, "old.json", event("BenchmarkGEMM/FP16", 100))
-	slow := writeFile(t, "slow.json", event("BenchmarkGEMM/FP16", 200))
+	old := writeFile(t, "old.json", event("BenchmarkActivity/FP16", 100))
+	slow := writeFile(t, "slow.json", event("BenchmarkActivity/FP16", 200))
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{old, slow}, &stdout, &stderr); got != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s", got, stdout.String())

@@ -1,6 +1,6 @@
 // Package repro is a from-scratch Go reproduction of "Input-Dependent
 // Power Usage in GPUs" (Gregersen, Patel, Choukse — SC 2024,
-// arXiv:2409.18324): a bit-accurate GPU GEMM simulator with an
+// arXiv:2409.18324): a bit-level GPU GEMM power simulator with an
 // activity-based power model, a DCGM-like telemetry layer, and a full
 // experiment harness that regenerates every figure of the paper's
 // evaluation. The measurement chain (tiling → activity → power model)
@@ -47,8 +47,9 @@
 //
 // The simulation hot path is organized around precomputation and
 // locality, with bit-identical results to the straightforward
-// per-element formulation (golden equivalence tests in
-// internal/kernels prove it element-by-element):
+// per-element formulation (exhaustive softfloat tests, the delta ≡
+// rescan equivalence tests and fuzz targets that hold each fast path
+// to its reference prove it):
 //
 //   - internal/softfloat carries 65,536-entry lookup tables built at
 //     init from the bit-exact conversions: F16→F32 decode (F16ToF32 is
@@ -56,13 +57,6 @@
 //     FP16/BF16/INT8. F32ToF16 and F32ToI8 use branch-light exact-RNE
 //     magic-number formulations, verified exhaustively against their
 //     field-by-field references.
-//   - internal/kernels packs both GEMM operands once per problem into
-//     contiguous decoded panels — A row-major, B column-major — so the
-//     O(N³) inner loop is a register-resident dot product in the exact
-//     arithmetic of the datatype. Work is scheduled as cache-blocked
-//     row ranges through an atomic cursor shared by the datatype
-//     engine and the float64 reference oracle, and the α/β epilogue is
-//     fused into the accumulator retirement.
 //   - internal/activity computes all exact terms in one fused scan per
 //     operand (toggles, per-k significand sums via the LUTs, Hamming
 //     weight, non-zero counts) and walks sampled product/accumulator
@@ -86,9 +80,9 @@
 // CI (.github/workflows/ci.yml) gates gofmt, vet, doc-comment coverage
 // (cmd/doccheck), build (examples included), race tests, a bench smoke
 // pass whose JSON output is kept as a per-commit BENCH_*.json artifact
-// (cmd/benchdiff fails CI on a >25% regression in any figure, engine
-// or fleet benchmark), a deterministic capped fleetsim smoke run
-// (byte-identical repeat and recorded-trace replay) uploaded as an
+// (cmd/benchdiff fails CI on a >25% regression in any figure or
+// per-dtype activity benchmark), a deterministic capped fleetsim smoke
+// run (byte-identical repeat and recorded-trace replay) uploaded as an
 // artifact, and a sharded serving smoke that cmp's a fixed batch
 // replayed through a 2-shard powerrouter against a single powerserve.
 package repro

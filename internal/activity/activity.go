@@ -623,9 +623,10 @@ func walkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width int) 
 			prevProd0, prevProd1, prevAcc0, prevAcc1 = pb0, pb1, ab0, ab1
 		}
 	case matrix.FP16:
-		// Mul16 and Add16 under MulF32's NaN rule, written out with
-		// the conversion's inlinable normal path: the rule would push
-		// them past the inliner's budget.
+		// Binary16 multiply and accumulate: each step is the float32
+		// operation under MulF32's NaN rule, rounded once to binary16
+		// (exact-then-round is correct rounding, see softfloat), with
+		// the conversion's inlinable normal path tried first.
 		var acc0, acc1 uint16
 		var prevProd0, prevAcc0, prevProd1, prevAcc1 uint16
 		for kk, bb0 := range bCol0 {

@@ -3,6 +3,7 @@ package activity
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitops"
@@ -320,6 +321,46 @@ func TestHammingWeightsReported(t *testing.T) {
 	}
 	if math.Abs(r.MeanHammingA-p.A.MeanHammingWeight()) > 1e-12 {
 		t.Error("MeanHammingA should match matrix stat")
+	}
+}
+
+// TestTransposedStorageBitIdentical holds Analyze of a Problem that
+// carries B as its stored transpose (kernels.NewTransposedProblem) to
+// Analyze of the same Problem with the transpose materialized, on every
+// report field: every datatype, shapes from 1×1×1 to 65×130×66, and raw
+// bit patterns in B (NaN, infinity and subnormal words included). Every
+// output is sampled, so the walk covers each lane.
+func TestTransposedStorageBitIdentical(t *testing.T) {
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 33, 9}, {65, 130, 66}}
+	for _, dt := range matrix.ExtendedDTypes {
+		for si, sh := range shapes {
+			n, k, m := sh[0], sh[1], sh[2]
+			seed := uint64(si*100) + uint64(dt) + 7
+			a := matrix.New(dt, n, k)
+			g := matrix.New(dt, m, k) // stores Bᵀ: row j is operand column j
+			matrix.FillGaussian(a, rng.Derive(seed, "A"), 0, matrix.DefaultStd(dt))
+			src, mask := rng.Derive(seed, "Graw"), bitops.LowMask(dt.Width())
+			for i := range g.Bits {
+				g.Bits[i] = src.Uint32() & mask
+			}
+			pt := kernels.NewTransposedProblem(dt, a, g)
+			pm := kernels.NewProblem(dt, a, g.Transpose())
+			if gn, gk, gm := pt.Dims(); gn != n || gk != k || gm != m {
+				t.Fatalf("%v: transposed Dims = (%d,%d,%d), want (%d,%d,%d)", dt, gn, gk, gm, n, k, m)
+			}
+			cfg := Config{SampleOutputs: n * m, Seed: seed}
+			got, err := Analyze(pt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Analyze(pm, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %dx%dx%d: transposed storage %+v, materialized %+v", dt, n, k, m, *got, *want)
+			}
+		}
 	}
 }
 

@@ -209,8 +209,9 @@ func refWalkLane2(dt matrix.DType, aRow0, bCol0, aRow1, bCol1 []uint32, width in
 		for kk := 0; kk < k; kk++ {
 			bb0, bb1 := bCol0[kk], bCol1[kk]
 			a0, a1 := aRow0[kk], aRow1[kk]
-			// Mul16 and Add16 under MulF32's NaN rule, written out:
-			// the rule would push them past the inliner's budget.
+			// Binary16 multiply and accumulate: the float32
+			// operation under MulF32's NaN rule, rounded once to
+			// binary16.
 			prod0 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a0)), softfloat.F16ToF32(uint16(bb0))))
 			prod1 := softfloat.F32ToF16(softfloat.MulF32(softfloat.F16ToF32(uint16(a1)), softfloat.F16ToF32(uint16(bb1))))
 			prodTog0 += int64(bits.OnesCount16(prevProd0 ^ prod0))

@@ -1,7 +1,7 @@
 // Package bitops provides the bit-level primitives underlying the
 // input-dependent power model: population counts (Hamming weights),
-// toggle distances (XOR popcounts between consecutive datapath values),
-// and bit-alignment scores between operand pairs.
+// toggle distances (XOR popcounts between consecutive datapath values)
+// and lane masks.
 //
 // The paper's causal hypothesis (§V) is that GPU power draw depends on
 // inputs through the number of bit flips during computation and on how
@@ -19,21 +19,6 @@ func Popcount32(v uint32) int { return bits.OnesCount32(v) }
 // and b, i.e. the switching activity a 32-bit bus lane experiences when
 // its value transitions from a to b.
 func Toggle32(a, b uint32) int { return bits.OnesCount32(a ^ b) }
-
-// Alignment returns the bit alignment between two values over the given
-// width in bits, as defined in the paper (§IV-F): 0 if every bit is
-// opposite, 1 if every bit is the same.
-func Alignment(a, b uint32, width int) float64 {
-	if width <= 0 || width > 32 {
-		panic("bitops: alignment width out of range")
-	}
-	mask := uint32(1)<<uint(width) - 1
-	if width == 32 {
-		mask = ^uint32(0)
-	}
-	diff := (a ^ b) & mask
-	return 1 - float64(bits.OnesCount32(diff))/float64(width)
-}
 
 // ToggleSum32 returns the total switching activity of a 32-bit lane that
 // streams the values in vs in order: the sum of XOR popcounts between
@@ -62,23 +47,6 @@ func MeanHamming(vs []uint32, width int) float64 {
 		sum += int64(bits.OnesCount32(v & mask))
 	}
 	return float64(sum) / float64(len(vs))
-}
-
-// MeanAlignment returns the average bit alignment between paired
-// elements of a and b over the given width. The two slices must have
-// equal length; it returns 0 for empty input.
-func MeanAlignment(a, b []uint32, width int) float64 {
-	if len(a) != len(b) {
-		panic("bitops: MeanAlignment length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range a {
-		sum += Alignment(a[i], b[i], width)
-	}
-	return sum / float64(len(a))
 }
 
 // LowMask returns a mask with the low n bits set (n clamped to [0,32]).

@@ -52,45 +52,6 @@ func TestToggleTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestAlignment(t *testing.T) {
-	if got := Alignment(0, 0, 32); got != 1 {
-		t.Errorf("identical values: alignment = %v, want 1", got)
-	}
-	if got := Alignment(0, 0xFFFFFFFF, 32); got != 0 {
-		t.Errorf("opposite values: alignment = %v, want 0", got)
-	}
-	if got := Alignment(0x0F, 0x00, 8); got != 0.5 {
-		t.Errorf("half-different 8-bit: alignment = %v, want 0.5", got)
-	}
-	// Width restricts which bits are compared.
-	if got := Alignment(0xFF00, 0x0000, 8); got != 1 {
-		t.Errorf("high bits outside width must be ignored: got %v", got)
-	}
-}
-
-func TestAlignmentBounds(t *testing.T) {
-	f := func(a, b uint32) bool {
-		al := Alignment(a, b, 32)
-		return al >= 0 && al <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAlignmentPanicsOnBadWidth(t *testing.T) {
-	for _, w := range []int{0, -1, 33} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Alignment width %d: expected panic", w)
-				}
-			}()
-			Alignment(1, 2, w)
-		}()
-	}
-}
-
 func TestToggleSum32(t *testing.T) {
 	if ToggleSum32(nil) != 0 {
 		t.Error("empty stream should have zero activity")
@@ -122,27 +83,6 @@ func TestMeanHamming(t *testing.T) {
 	if got != 8 {
 		t.Errorf("MeanHamming width-masked = %v, want 8", got)
 	}
-}
-
-func TestMeanAlignment(t *testing.T) {
-	a := []uint32{0x00, 0xFF}
-	b := []uint32{0x00, 0x00}
-	got := MeanAlignment(a, b, 8)
-	if got != 0.5 {
-		t.Errorf("MeanAlignment = %v, want 0.5", got)
-	}
-	if MeanAlignment(nil, nil, 8) != 0 {
-		t.Error("empty MeanAlignment should be 0")
-	}
-}
-
-func TestMeanAlignmentMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	MeanAlignment([]uint32{1}, []uint32{1, 2}, 8)
 }
 
 func TestMasks(t *testing.T) {

@@ -157,22 +157,6 @@ func (s *Simulator) MeasureDSL(dt matrix.DType, size int, dsl string, opts Optio
 	return s.MeasurePattern(dt, size, pat, opts)
 }
 
-// Compare measures two patterns under identical conditions and returns
-// the relative power change of the second versus the first.
-// Only TestCompare calls it.
-func (s *Simulator) Compare(dt matrix.DType, size int, base, variant patterns.Pattern, opts Options) (baseM, varM *Measurement, relChange float64, err error) {
-	baseM, err = s.MeasurePattern(dt, size, base, opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	varM, err = s.MeasurePattern(dt, size, variant, opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	relChange = (varM.AvgPowerW - baseM.AvgPowerW) / baseM.AvgPowerW
-	return baseM, varM, relChange, nil
-}
-
 // TrainPredictor fits the §V input-dependent power model on a corpus of
 // DSL patterns measured at the given sizes, and returns it with its
 // in-sample R².

@@ -52,6 +52,13 @@ func TestMeasurePattern(t *testing.T) {
 	if math.Abs(m.Breakdown.TotalW()-m.ModelPowerW) > 1e-6 {
 		t.Error("breakdown should sum to model power")
 	}
+	sorted, err := s.MeasurePattern(matrix.FP16, 192, patterns.GaussianDefault().Sorted(patterns.SortRows, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sorted.AvgPowerW >= m.AvgPowerW {
+		t.Errorf("sorting should reduce power: sorted %v W, unsorted %v W", sorted.AvgPowerW, m.AvgPowerW)
+	}
 }
 
 func TestMeasurePatternRejectsBadSize(t *testing.T) {
@@ -76,19 +83,6 @@ func TestMeasureDSL(t *testing.T) {
 	}
 	if _, err := s.MeasureDSL(matrix.FP32, 128, "bogus()", DefaultOptions()); err == nil {
 		t.Error("bad DSL should error")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	s := sim(t)
-	base := patterns.GaussianDefault()
-	sorted := patterns.GaussianDefault().Sorted(patterns.SortRows, 1)
-	_, _, rel, err := s.Compare(matrix.FP16, 160, base, sorted, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel >= 0 {
-		t.Errorf("sorting should reduce power, rel change = %v", rel)
 	}
 }
 

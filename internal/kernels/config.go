@@ -1,7 +1,8 @@
-// Package kernels models the CUTLASS-style tiled GEMM kernels the paper
-// runs (§II–§III): threadblock tiling, wave scheduling onto SMs, and
-// functional (bit-accurate) execution of D = αA·B + βC for each of the
-// paper's four datatype setups.
+// Package kernels models the CUTLASS-style tiled GEMM launches the
+// paper runs (§II–§III): the threadblock tile shape, wave scheduling
+// onto SMs, and the Problem each of the paper's four datatype setups
+// launches. It computes no products: the chain reads operand bits
+// (internal/activity), not GEMM outputs.
 //
 // Two things about the kernel matter for input-dependent power:
 //
@@ -113,36 +114,29 @@ func Utilization(tiles, smCount int) float64 {
 	return u / float64(waves)
 }
 
-// Problem describes one GEMM execution: D = αA·Bop + βC where A is
-// (N,K) and Bop is the operand layout the kernel consumes, (K,M). The
-// paper's default zeroes C and sets α=1, β=1.
+// Problem describes one GEMM launch: A is (N,K) and Bop, the operand
+// layout the kernel consumes, is (K,M).
 type Problem struct {
 	DType matrix.DType
 	A     *matrix.Matrix // (N, K)
 	B     *matrix.Matrix // (K, M), already transposed if the experiment calls for it
-	C     *matrix.Matrix // (N, M) or nil for zero
-	Alpha float64
-	Beta  float64
 	Tile  TileConfig
 
 	// BTransposed marks that B stores the (K,M) operand as its
 	// transpose: an (M,K) row-major matrix whose row j is operand
 	// column j. The paper's default consumes Bᵀ of a generated
 	// matrix, so callers can hand over the generated matrix directly
-	// and skip materializing the transpose — column-panel packing
-	// becomes a contiguous row copy and results are bit-identical.
+	// and skip materializing the transpose; an operand column is then
+	// a stored row.
 	BTransposed bool
 }
 
-// NewProblem builds a Problem with the paper's defaults (α=1, β=1,
-// C = 0, default tile for the datatype).
+// NewProblem builds a Problem with the default tile for the datatype.
 func NewProblem(dt matrix.DType, a, b *matrix.Matrix) *Problem {
 	return &Problem{
 		DType: dt,
 		A:     a,
 		B:     b,
-		Alpha: 1,
-		Beta:  1,
 		Tile:  DefaultTile(dt),
 	}
 }
@@ -150,7 +144,8 @@ func NewProblem(dt matrix.DType, a, b *matrix.Matrix) *Problem {
 // NewTransposedProblem builds a Problem whose B operand is g's
 // transpose without materializing it: the kernel consumes g's rows as
 // operand columns. Equivalent to NewProblem(dt, a, g.Transpose())
-// bit-for-bit.
+// bit-for-bit; activity's TestTransposedStorageBitIdentical holds
+// Analyze to that.
 func NewTransposedProblem(dt matrix.DType, a, g *matrix.Matrix) *Problem {
 	p := NewProblem(dt, a, g)
 	p.BTransposed = true
@@ -203,12 +198,6 @@ func (p *Problem) Validate() error {
 	if p.A.Cols != bRows {
 		return fmt.Errorf("kernels: inner dimensions disagree: A is %dx%d, B is %dx%d",
 			p.A.Rows, p.A.Cols, bRows, bCols)
-	}
-	if p.C != nil {
-		if p.C.Rows != p.A.Rows || p.C.Cols != bCols {
-			return fmt.Errorf("kernels: C shape %dx%d does not match output %dx%d",
-				p.C.Rows, p.C.Cols, p.A.Rows, bCols)
-		}
 	}
 	return p.Tile.Validate()
 }

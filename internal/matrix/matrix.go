@@ -179,8 +179,8 @@ func (m *Matrix) Clone() *Matrix {
 // default configuration transposes B so both operands stream the same
 // pattern along the reduction dimension.
 // The chain takes transposed storage instead
-// (kernels.NewTransposedProblem); FuzzRunMatchesGolden and
-// TestTransposedStorageBitIdentical build the materialized transpose
+// (kernels.NewTransposedProblem); activity's
+// TestTransposedStorageBitIdentical builds the materialized transpose
 // with it.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.DType, m.Cols, m.Rows)
@@ -224,16 +224,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		}
 	}
 	return true
-}
-
-// Column returns a copy of the j-th column's bit patterns.
-// Only TestColumn calls it.
-func (m *Matrix) Column(j int) []uint32 {
-	out := make([]uint32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
 }
 
 // Values returns all decoded values row-major.

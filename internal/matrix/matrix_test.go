@@ -134,19 +134,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	m := New(FP32, 3, 2)
-	for i := 0; i < 3; i++ {
-		m.SetValue(i, 1, float64(i+1))
-	}
-	col := m.Column(1)
-	for i := 0; i < 3; i++ {
-		if FP32.Decode(col[i]) != float64(i+1) {
-			t.Errorf("column value %d wrong", i)
-		}
-	}
-}
-
 func TestFillGaussianMoments(t *testing.T) {
 	m := New(FP32, 128, 128)
 	FillGaussian(m, rng.New(1), 10, 3)
@@ -517,33 +504,6 @@ func TestMeanHammingWeight(t *testing.T) {
 	Zero(m)
 	if m.MeanHammingWeight() != 0 {
 		t.Error("zero matrix should have HW 0")
-	}
-}
-
-func TestMeanSignificandWeight(t *testing.T) {
-	m := New(FP32, 2, 2)
-	FillConstant(m, 1) // significand = hidden bit only
-	if m.MeanSignificandWeight() != 1 {
-		t.Errorf("significand weight of 1.0 = %v, want 1", m.MeanSignificandWeight())
-	}
-	mi := New(INT8, 2, 2)
-	FillConstant(mi, 3)
-	if mi.MeanSignificandWeight() != 2 {
-		t.Errorf("INT8 significand weight of 3 = %v, want 2", mi.MeanSignificandWeight())
-	}
-}
-
-func TestMeanAlignmentWith(t *testing.T) {
-	a := New(FP16, 4, 4)
-	b := New(FP16, 4, 4)
-	FillConstantBits(a, 0xAAAA)
-	FillConstantBits(b, 0xAAAA)
-	if a.MeanAlignmentWith(b) != 1 {
-		t.Error("identical matrices should align fully")
-	}
-	FillConstantBits(b, 0x5555)
-	if a.MeanAlignmentWith(b) != 0 {
-		t.Error("opposite matrices should have zero alignment")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bitops"
-	"repro/internal/softfloat"
 )
 
 // Bit-level aggregate statistics over matrices. The chain computes its
@@ -16,47 +15,6 @@ import (
 // TestHammingWeightsReported and TestMeanHammingWeight.
 func (m *Matrix) MeanHammingWeight() float64 {
 	return bitops.MeanHamming(m.Bits, m.DType.Width())
-}
-
-// MeanSignificandWeight returns the average Hamming weight of the
-// arithmetic significand (with hidden bit for FP, magnitude for INT8),
-// the quantity that drives multiplier-array activity. Only
-// TestMeanSignificandWeight calls it.
-func (m *Matrix) MeanSignificandWeight() float64 {
-	if len(m.Bits) == 0 {
-		return 0
-	}
-	var sum int64
-	switch m.DType {
-	case FP32:
-		for _, b := range m.Bits {
-			sum += int64(bitops.Popcount32(softfloat.Significand32(b)))
-		}
-	case FP16, FP16T:
-		for _, b := range m.Bits {
-			sum += int64(bitops.Popcount32(softfloat.Significand16(uint16(b))))
-		}
-	case BF16T:
-		for _, b := range m.Bits {
-			sum += int64(bitops.Popcount32(softfloat.SignificandBF16(uint16(b))))
-		}
-	case INT8:
-		for _, b := range m.Bits {
-			sum += int64(bitops.Popcount32(softfloat.I8Magnitude(int8(uint8(b)))))
-		}
-	}
-	return float64(sum) / float64(len(m.Bits))
-}
-
-// MeanAlignmentWith returns the average bit alignment (§IV-F) between
-// corresponding elements of m and o: 1 when all bits agree, 0 when all
-// differ. Shapes and dtypes must match. Only TestMeanAlignmentWith
-// calls it.
-func (m *Matrix) MeanAlignmentWith(o *Matrix) float64 {
-	if m.DType != o.DType || m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("matrix: MeanAlignmentWith shape or dtype mismatch")
-	}
-	return bitops.MeanAlignment(m.Bits, o.Bits, m.DType.Width())
 }
 
 // MeanRowToggle returns the average per-bit toggle rate between

@@ -8,7 +8,6 @@ package obs
 // /healthz reads like a field dump.
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -183,19 +182,6 @@ func (m *MetricSet) Snapshot() map[string]int64 {
 		out[name+".max"] = g.HighWater()
 	}
 	return out
-}
-
-// Names returns the sorted metric names present in a snapshot-style
-// listing (gauge high-water entries included).
-// Only TestMetricSetIdentityAndSnapshot calls it.
-func (m *MetricSet) Names() []string {
-	snap := m.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // HitRate is a convenience for cache-style counter pairs: it returns

@@ -11,9 +11,9 @@ import (
 // falls in the octave [2^e, 2^(e+1)) with e = floor(log2 v), split into
 // four equal sub-buckets of width 2^(e-2). The boundaries are pure
 // functions of the index — no configuration, no state — which is what
-// makes snapshots mergeable by element-wise addition and quantile
-// estimates deterministic. Worst-case relative quantile error is the
-// sub-bucket width over its lower bound: 2^(e-2)/2^e = 25%.
+// makes quantile estimates deterministic functions of the counts.
+// Worst-case relative quantile error is the sub-bucket width over its
+// lower bound: 2^(e-2)/2^e = 25%.
 const (
 	histLinear  = 16 // unit-wide buckets for 0..15
 	histSubBits = 2  // log2 of sub-buckets per octave
@@ -110,37 +110,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is an immutable copy of a Histogram's state. The
-// zero value is an empty snapshot with Scale 0; Merge treats a
-// zero-Scale side as "adopt the other's scale" so accumulators can
-// start from the zero value.
+// zero value is an empty snapshot with Scale 0.
 type HistogramSnapshot struct {
-	// Scale is the exposition divisor (see Histogram.Scale).
+	// Scale is the exposition divisor: 1e9 for a NewLatencyHistogram,
+	// whose nanoseconds are exposed as seconds, 1 for a NewHistogram.
 	Scale float64
 	// Count and Sum are the observation count and raw-value sum.
 	Count, Sum int64
 	// Counts holds per-bucket observation counts; boundaries come from
 	// BucketLower / BucketUpper.
 	Counts [NumBuckets]int64
-}
-
-// Merge returns the element-wise sum of two snapshots. Because
-// boundaries are fixed, merge is associative and commutative — the
-// property tests pin this. Merging snapshots with two different
-// non-zero scales is a unit bug and panics.
-// Only TestMergeAssociativeAndCommutative calls it.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	switch {
-	case s.Scale == 0:
-		s.Scale = o.Scale
-	case o.Scale != 0 && o.Scale != s.Scale:
-		panic("obs: merging histograms with different scales")
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	return s
 }
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by nearest rank:

@@ -53,42 +53,6 @@ func TestBucketIndexAgreesWithBoundaries(t *testing.T) {
 	}
 }
 
-func TestMergeAssociativeAndCommutative(t *testing.T) {
-	r := rng.New(0x3E26)
-	mk := func(n int) HistogramSnapshot {
-		h := NewLatencyHistogram()
-		for i := 0; i < n; i++ {
-			h.Observe(int64(r.Uint64() % 1e9))
-		}
-		return h.Snapshot()
-	}
-	a, b, c := mk(500), mk(137), mk(1009)
-
-	abThenC := a.Merge(b).Merge(c)
-	aThenBC := a.Merge(b.Merge(c))
-	if abThenC != aThenBC {
-		t.Fatal("merge is not associative")
-	}
-	if a.Merge(b) != b.Merge(a) {
-		t.Fatal("merge is not commutative")
-	}
-	if got, want := abThenC.Count, a.Count+b.Count+c.Count; got != want {
-		t.Fatalf("merged count %d, want %d", got, want)
-	}
-
-	// Merging from the zero value adopts the other side's scale.
-	var zero HistogramSnapshot
-	if got := zero.Merge(a); got != a {
-		t.Fatal("zero.Merge(a) != a")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging different scales should panic")
-		}
-	}()
-	a.Merge(NewHistogram().Snapshot())
-}
-
 func TestQuantileErrorBound(t *testing.T) {
 	// Nearest-rank quantiles from the histogram must bracket the exact
 	// sorted-sample statistic: never below it, never more than 25%

@@ -10,10 +10,9 @@
 //     Histograms, created on first use. Snapshot is the flat JSON
 //     /metrics map; PromSnapshot feeds the exposition.
 //
-//   - Histogram: a lock-cheap, mergeable log-bucketed distribution.
-//     Bucket boundaries are fixed at compile time — 16 unit-wide
-//     buckets for values 0–15, then four sub-buckets per power-of-two
-//     octave — so merging two snapshots is element-wise addition and
+//   - Histogram: a lock-cheap log-bucketed distribution. Bucket
+//     boundaries are fixed at compile time — 16 unit-wide buckets for
+//     values 0–15, then four sub-buckets per power-of-two octave — so
 //     quantile estimates are deterministic functions of the counts.
 //     Observe is a pair of atomic adds; there is no lock on the hot
 //     path.
@@ -27,7 +26,7 @@
 //
 //   - Exposition: WriteProm renders counters, gauges and histogram
 //     snapshots in the Prometheus text format (metric names sanitized
-//     by PromName, label values escaped by EscapeLabelValue), and
+//     by PromName; the only label is a bucket's numeric le), and
 //     LintProm is a small hand-rolled checker for that format used
 //     both as a unit test and as the CI smoke job's validator
 //     (cmd/promlint).

@@ -49,27 +49,6 @@ func PromName(name string) string {
 	return b.String()
 }
 
-// EscapeLabelValue escapes a label value per the Prometheus text
-// format: backslash, double quote and newline.
-// Only TestEscapeLabelValueTable calls it.
-func EscapeLabelValue(v string) string {
-	var b strings.Builder
-	b.Grow(len(v))
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
 // promBounds returns the `le` boundaries used to expose a histogram:
 // powers of two (so the cumulative counts are exact, see
 // CumulativeLE), every other octave to keep families compact.

@@ -33,21 +33,6 @@ func TestPromNameTable(t *testing.T) {
 	}
 }
 
-func TestEscapeLabelValueTable(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"plain", "plain"},
-		{`back\slash`, `back\\slash`},
-		{`quo"te`, `quo\"te`},
-		{"new\nline", `new\nline`},
-		{`all"three\` + "\n", `all\"three\\\n`},
-	}
-	for _, c := range cases {
-		if got := EscapeLabelValue(c.in); got != c.want {
-			t.Errorf("EscapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func promSnapshotForTest() PromSnapshot {
 	lat := NewLatencyHistogram()
 	for _, ns := range []int64{900, 15_000, 2_000_000, 2_000_000, 450_000_000} {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/patterns"
 	"repro/internal/rng"
@@ -137,7 +136,8 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 
 	// Equivalence: each output element sums the same products. INT8
 	// checks this exactly; FP16 reduction reorders roundings, so use a
-	// small INT8 replica for the bit-exact check.
+	// small INT8 replica for the bit-exact check. Wrapping int32 sums
+	// do not depend on order, so the permuted product must match.
 	ai := matrix.New(matrix.INT8, 24, 24)
 	patterns.Gaussian(0, 25).Apply(ai, rng.Derive(3, "acts"))
 	wi := scaleStructuredWeights(matrix.INT8, 24, 24, 4)
@@ -147,14 +147,7 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	if err := PermuteColumns(aiPerm, resI.Perm); err != nil {
 		t.Fatal(err)
 	}
-	origOut, err := kernelRun(matrix.INT8, ai, wi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	permOut, err := kernelRun(matrix.INT8, aiPerm, wiSorted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	origOut, permOut := int8Product(ai, wi), int8Product(aiPerm, wiSorted)
 	for i := range origOut {
 		if origOut[i] != permOut[i] {
 			t.Fatalf("INT8 outputs differ at %d: %v vs %v", i, origOut[i], permOut[i])
@@ -162,12 +155,20 @@ func TestSortReductionDimReducesPowerAndPreservesOutputs(t *testing.T) {
 	}
 }
 
-func kernelRun(dt matrix.DType, a, b *matrix.Matrix) ([]float64, error) {
-	out, err := kernels.Run(kernels.NewProblem(dt, a, b))
-	if err != nil {
-		return nil, err
+// int8Product returns A·B for INT8 operands, reduced in int32 as the
+// DP4A datapath does.
+func int8Product(a, b *matrix.Matrix) []int32 {
+	out := make([]int32, a.Rows*b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var acc int32
+			for kk := 0; kk < a.Cols; kk++ {
+				acc += int32(int8(a.At(i, kk))) * int32(int8(b.At(kk, j)))
+			}
+			out[i*b.Cols+j] = acc
+		}
 	}
-	return out.Vals, nil
+	return out
 }
 
 // The §V payoff test: shifting and pruning must reduce simulated power

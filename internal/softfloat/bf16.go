@@ -41,15 +41,6 @@ func BF16ToF32(h uint16) float32 {
 	return math.Float32frombits(uint32(h) << 16)
 }
 
-// FMABF16To32 performs the tensor-core MMA step for bfloat16 operands
-// with FP32 accumulation (the only accumulate mode NVIDIA exposes for
-// BF16).
-// Only tests call it: goldenRun, the row-at-a-time port that
-// TestRunBitIdenticalToGolden holds kernels.Run to.
-func FMABF16To32(a, b uint16, acc float32) float32 {
-	return acc + BF16ToF32(a)*BF16ToF32(b)
-}
-
 // SignificandBF16 returns the 8-bit significand including the hidden
 // bit for normal numbers.
 func SignificandBF16(h uint16) uint32 {

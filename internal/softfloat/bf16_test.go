@@ -85,16 +85,6 @@ func TestBF16ConversionErrorBound(t *testing.T) {
 	}
 }
 
-func TestFMABF16To32(t *testing.T) {
-	// The product of two bfloat16 values is exact in binary32, and FP32
-	// accumulation retains small addends.
-	acc := FMABF16To32(F32ToBF16(1), F32ToBF16(1), 0)
-	acc = FMABF16To32(F32ToBF16(2048), F32ToBF16(1), acc)
-	if acc != 2049 {
-		t.Errorf("accumulate = %g, want 2049", acc)
-	}
-}
-
 func TestSignificandBF16(t *testing.T) {
 	if got := SignificandBF16(F32ToBF16(1)); got != 1<<BF16MantBits {
 		t.Errorf("significand of 1.0 = %#x, want hidden bit only", got)

@@ -1,10 +1,10 @@
 // Package softfloat implements the datatype machinery the reproduction
 // needs at the bit level: IEEE 754 binary16 (half precision) with
-// round-to-nearest-even conversions and arithmetic, FP32 bit-field
-// helpers, and saturating INT8 conversion.
+// round-to-nearest-even conversions, FP32 bit-field helpers, and
+// saturating INT8 conversion.
 //
 // The paper's experiments generate all floating-point inputs as FP32
-// values and convert them to each datatype with round-to-nearest; the
+// values and convert them to each datatype with round-to-nearest; its
 // GEMM kernels then operate natively in each type (FP16 accumulate for
 // plain FP16, FP32 accumulate for tensor-core FP16, INT32 accumulate for
 // INT8). Go has no float16, so binary16 is implemented here from
@@ -12,8 +12,9 @@
 //
 // Correctness note: binary32 carries 24 significand bits, which is at
 // least 2·11+2, so binary16 add/sub/mul/div computed exactly in binary32
-// and then rounded to binary16 is correctly rounded (no double-rounding
-// hazard). Add16 and Mul16 rely on this.
+// and then rounded to binary16 by one F32ToF16 is correctly rounded (no
+// double-rounding hazard). The sampled walk's FP16 arm relies on this
+// (TestF16ProductRoundsOnce).
 package softfloat
 
 import "math"
@@ -178,36 +179,6 @@ func f16ToF32Compute(h uint16) float32 {
 	default:
 		return math.Float32frombits(sign | (exp+127-15)<<23 | mant<<13)
 	}
-}
-
-// Mul16 returns the correctly rounded binary16 product of two binary16
-// values.
-func Mul16(a, b uint16) uint16 {
-	return F32ToF16(F16ToF32(a) * F16ToF32(b))
-}
-
-// Add16 returns the correctly rounded binary16 sum of two binary16
-// values.
-func Add16(a, b uint16) uint16 {
-	return F32ToF16(F16ToF32(a) + F16ToF32(b))
-}
-
-// FMA16 performs a fused multiply-add entirely in binary16 precision:
-// round16(round16(a*b) + c). This models the plain (non-tensor-core)
-// FP16 GEMM datapath, which accumulates in FP16.
-// Only tests call it: goldenRun, the row-at-a-time port that
-// TestRunBitIdenticalToGolden holds kernels.Run to.
-func FMA16(a, b, c uint16) uint16 {
-	return Add16(Mul16(a, b), c)
-}
-
-// FMA16To32 performs the tensor-core MMA step: binary16 operands
-// multiplied exactly and accumulated into an FP32 register. The product
-// of two binary16 values is exact in binary32.
-// Only tests call it: goldenRun, the row-at-a-time port that
-// TestRunBitIdenticalToGolden holds kernels.Run to.
-func FMA16To32(a, b uint16, acc float32) float32 {
-	return acc + F16ToF32(a)*F16ToF32(b)
 }
 
 // Significand16 returns the 11-bit significand of h including the hidden

@@ -53,11 +53,3 @@ func I8Magnitude(v int8) uint32 {
 	}
 	return uint32(v)
 }
-
-// DotI8 computes the INT8 dot-product step with INT32 accumulation, the
-// datapath NVIDIA IMMA instructions implement.
-// Only tests call it: goldenRun, the row-at-a-time port that
-// TestRunBitIdenticalToGolden holds kernels.Run to.
-func DotI8(a, b int8, acc int32) int32 {
-	return acc + int32(a)*int32(b)
-}
