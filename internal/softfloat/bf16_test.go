@@ -85,6 +85,16 @@ func TestBF16ConversionErrorBound(t *testing.T) {
 	}
 }
 
+// TestBF16ProductAccumulatesExactlyInF32 checks BF16-T's float32
+// accumulator: the product of two bfloat16 values is exact in binary32,
+// and the accumulator keeps small addends.
+func TestBF16ProductAccumulatesExactlyInF32(t *testing.T) {
+	mul := func(x, y float32) float32 { return BF16ToF32(F32ToBF16(x)) * BF16ToF32(F32ToBF16(y)) }
+	if acc := mul(1, 1) + mul(2048, 1); acc != 2049 {
+		t.Errorf("accumulate = %g, want 2049", acc)
+	}
+}
+
 func TestSignificandBF16(t *testing.T) {
 	if got := SignificandBF16(F32ToBF16(1)); got != 1<<BF16MantBits {
 		t.Errorf("significand of 1.0 = %#x, want hidden bit only", got)

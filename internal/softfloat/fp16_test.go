@@ -239,38 +239,72 @@ func TestF16ProductRoundsOnce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
 	}
-	round16 := func(a, b float32) float32 {
-		return F16ToF32(F32ToF16(F16ToF32(F32ToF16(a)) * F16ToF32(F32ToF16(b))))
-	}
-	if got := round16(2, 3); got != 6 {
+}
+
+// mul16 and add16 are the binary16 steps of the walk's FP16 arm: the
+// float32 operation, rounded once to binary16.
+func mul16(x, y uint16) uint16 { return F32ToF16(F16ToF32(x) * F16ToF32(y)) }
+func add16(x, y uint16) uint16 { return F32ToF16(F16ToF32(x) + F16ToF32(y)) }
+
+func TestF16ProductKnownValues(t *testing.T) {
+	two, three := F32ToF16(2), F32ToF16(3)
+	if got := F16ToF32(mul16(two, three)); got != 6 {
 		t.Errorf("2*3 = %g, want 6", got)
 	}
-	if got := round16(60000, 2); !math.IsInf(float64(got), 1) {
+	// Overflow saturates to infinity.
+	if got := F16ToF32(mul16(F32ToF16(60000), two)); !math.IsInf(float64(got), 1) {
 		t.Errorf("60000*2 = %g, want +Inf (overflow)", got)
 	}
-	if got := F32ToF16(F16ToF32(0) * F16ToF32(F32ToF16(3))); got != 0 {
+	// Multiplication by zero gives +0.
+	if got := mul16(0, three); got != 0 {
 		t.Errorf("0*3 = %#x, want +0", got)
 	}
 }
 
-// TestF16AccumulatorAbsorbsWhereF32Keeps checks the other fact behind
-// the walk's two FP16 arms: 2048 + 1 rounds back to 2048 in binary16
-// (the ULP at 2048 is 2), so plain FP16's binary16 accumulator drops
-// the addend, while the float32 accumulator of FP16-T and BF16-T keeps
-// it. This is why the two FP16 setups differ on long reductions.
+func TestF16SumKnownValues(t *testing.T) {
+	one := F32ToF16(1)
+	if got := F16ToF32(add16(one, one)); got != 2 {
+		t.Errorf("1+1 = %g, want 2", got)
+	}
+	// 2048 + 1 rounds back to 2048 in binary16 (the ULP at 2048 is 2),
+	// so a binary16 accumulator drops the addend.
+	if got := F16ToF32(add16(F32ToF16(2048), one)); got != 2048 {
+		t.Errorf("2048+1 in binary16 = %g, want 2048 (absorbed)", got)
+	}
+}
+
+// TestF16ProductAccumulatesExactlyInF32 checks FP16-T's float32
+// accumulator: a binary16 product enters it exactly, and it keeps the
+// small addend a binary16 accumulator absorbs.
+func TestF16ProductAccumulatesExactlyInF32(t *testing.T) {
+	mul := func(x, y float32) float32 { return F16ToF32(F32ToF16(x)) * F16ToF32(F32ToF16(y)) }
+	if got := mul(1.5, 2.25); got != 3.375 {
+		t.Errorf("1.5*2.25 = %g, want 3.375", got)
+	}
+	if acc := mul(1, 1) + mul(2048, 1); acc != 2049 {
+		t.Errorf("float32 accumulate of 1*1 + 2048*1 = %g, want 2049", acc)
+	}
+}
+
+// TestF16AccumulatorAbsorbsWhereF32Keeps sums 4096 products 1*1 the way
+// the walk's two FP16 arms do: plain FP16's binary16 accumulator stops
+// at 2048, where each further 1 is absorbed, while FP16-T's float32
+// accumulator reaches 4096. This is why the two FP16 setups differ on
+// long reductions.
 func TestF16AccumulatorAbsorbsWhereF32Keeps(t *testing.T) {
-	one, n2048 := F32ToF16(1), F32ToF16(2048)
-	if got := F16ToF32(F32ToF16(F16ToF32(one) + F16ToF32(one))); got != 2 {
-		t.Errorf("binary16 1+1 = %g, want 2", got)
+	const k = 4096
+	one := F32ToF16(1)
+	var acc16 uint16
+	var acc32 float32
+	for range k {
+		acc16 = add16(acc16, mul16(one, one))
+		acc32 += F16ToF32(one) * F16ToF32(one)
 	}
-	if got := F16ToF32(F32ToF16(F16ToF32(n2048) + F16ToF32(one))); got != 2048 {
-		t.Errorf("binary16 2048+1 = %g, want 2048 (absorbed)", got)
+	if got := F16ToF32(acc16); got != 2048 {
+		t.Errorf("binary16 accumulate of %d ones = %g, want 2048 (saturated)", k, got)
 	}
-	if got := F16ToF32(n2048) + F16ToF32(one)*F16ToF32(one); got != 2049 {
-		t.Errorf("float32 accumulate of FP16 2048+1*1 = %g, want 2049", got)
-	}
-	if got := BF16ToF32(F32ToBF16(2048)) + BF16ToF32(F32ToBF16(1))*BF16ToF32(F32ToBF16(1)); got != 2049 {
-		t.Errorf("float32 accumulate of BF16 2048+1*1 = %g, want 2049", got)
+	if acc32 != k {
+		t.Errorf("float32 accumulate of %d ones = %g, want %d", k, acc32, k)
 	}
 }
 
