@@ -101,21 +101,17 @@ type Point struct {
 	// Pattern builds the input pattern for a datatype (the paper uses
 	// σ=210 for FP and σ=25 for INT8, so patterns are dtype-aware).
 	Pattern func(dt matrix.DType) patterns.Pattern
-	// TransposeB overrides the paper's default of consuming Bᵀ;
-	// Fig. 5a sets this to false.
-	TransposeB *bool
+	// UntransposedB consumes B as generated instead of the paper's
+	// default Bᵀ; Fig. 5a sets it.
+	UntransposedB bool
 }
 
-func (p Point) transposeB() bool {
-	if p.TransposeB == nil {
-		return true
-	}
-	return *p.TransposeB
-}
+// transposeB reports whether the point consumes Bᵀ.
+func (p Point) transposeB() bool { return !p.UntransposedB }
 
 // Experiment is one figure panel of the paper.
 type Experiment struct {
-	// ID matches the DESIGN.md index, e.g. "fig5b".
+	// ID names the panel's row in the Figures table, e.g. "fig5b".
 	ID string
 	// Title is the paper's panel description.
 	Title string

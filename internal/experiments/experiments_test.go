@@ -28,16 +28,22 @@ func quickResult(t *testing.T, id string) *FigureResult {
 	if fr, ok := cache[id]; ok {
 		return fr
 	}
-	exp, ok := Get(id)
-	if !ok {
-		t.Fatalf("unknown experiment %q", id)
-	}
-	fr, err := Run(exp, Quick())
+	fr, err := Run(panel(t, id), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache[id] = fr
 	return fr
+}
+
+// panel returns the Figures panel with the given ID.
+func panel(t *testing.T, id string) Experiment {
+	t.Helper()
+	exp, ok := Get(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return exp
 }
 
 // powers extracts the mean power series of a datatype.
@@ -488,7 +494,7 @@ func TestExtensionBF16TensorVsFP16Tensor(t *testing.T) {
 	// tensor-core rate, the model predicts BF16 draws less power than
 	// FP16 because its 8-bit significand drives ~(9/12)² of the
 	// multiplier partial products.
-	exp := Fig4aBitFlips()
+	exp := panel(t, "fig4a")
 	cfg := Quick()
 	cfg.DTypes = []matrix.DType{matrix.FP16T, matrix.BF16T}
 	fr, err := Run(exp, cfg)
@@ -515,7 +521,7 @@ func TestExtensionBF16TensorVsFP16Tensor(t *testing.T) {
 func TestRaggedSizesRunEndToEnd(t *testing.T) {
 	// Non-power-of-two, non-tile-aligned sizes must work through the
 	// whole chain (the tail tiles are ceil-divided).
-	exp := Fig6aSparsity()
+	exp := panel(t, "fig6a")
 	cfg := Quick()
 	cfg.Size = 100
 	cfg.Seeds = 1
@@ -578,8 +584,9 @@ func TestFormatFig8AndCSV(t *testing.T) {
 // to take and return pooled storage; the cells must not depend on the
 // schedule.
 func TestRunWorkerCountInvariant(t *testing.T) {
-	for _, exp := range []Experiment{Fig6bSparsityAfterSort(), Fig5dSortWithinRows(), Fig4aBitFlips(), Fig6aSparsity()} {
-		t.Run(exp.ID, func(t *testing.T) {
+	for _, id := range []string{"fig6b", "fig5d", "fig4a", "fig6a"} {
+		t.Run(id, func(t *testing.T) {
+			exp := panel(t, id)
 			cfg := Config{
 				Device:        device.A100PCIe(),
 				Size:          48,
@@ -611,8 +618,9 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 // four-datatype Run must equal a Run of that datatype alone, which
 // builds its operands by itself.
 func TestRunGroupedDTypesMatchSeparate(t *testing.T) {
-	for _, exp := range []Experiment{Fig3cValueSet(), Fig4aBitFlips(), Fig6aSparsity()} {
-		t.Run(exp.ID, func(t *testing.T) {
+	for _, id := range []string{"fig3c", "fig4a", "fig6a"} {
+		t.Run(id, func(t *testing.T) {
+			exp := panel(t, id)
 			cfg := Config{
 				Device:        device.A100PCIe(),
 				Size:          48,
@@ -650,8 +658,9 @@ func TestRunRecyclesOperandStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")
 	}
-	for _, exp := range []Experiment{Fig3cValueSet(), Fig4aBitFlips(), Fig6aSparsity()} {
-		t.Run(exp.ID, func(t *testing.T) {
+	for _, id := range []string{"fig3c", "fig4a", "fig6a"} {
+		t.Run(id, func(t *testing.T) {
+			exp := panel(t, id)
 			cfg := Config{
 				Device:        device.A100PCIe(),
 				Size:          128,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/matrix"
@@ -10,349 +11,166 @@ import (
 	"repro/internal/stats"
 )
 
-// This file defines every figure of the paper's evaluation as an
-// Experiment. The per-experiment index in DESIGN.md maps each ID to its
-// paper figure, takeaway, and bench target.
-
-func boolPtr(b bool) *bool { return &b }
-
-// gaussianDefaultPoint is the paper's baseline input at a given label.
-func gaussianDefaultPoint(label string, x float64) Point {
-	return Point{
-		Label:   label,
-		X:       x,
-		Pattern: func(dt matrix.DType) patterns.Pattern { return patterns.GaussianDefault() },
-	}
-}
-
-// Fig1Runtime is Fig. 1: average iteration runtime by datatype for the
-// 2048² GEMM. One baseline point; the interesting axis is the datatype.
-func Fig1Runtime() Experiment {
-	return Experiment{
-		ID:       "fig1",
-		Title:    "Average iteration runtime by datatype",
-		Takeaway: "Iteration runtimes are input-independent and consistent to the microsecond",
-		XLabel:   "baseline",
-		Points:   []Point{gaussianDefaultPoint("gaussian", 0)},
-	}
-}
-
-// Fig2Energy is Fig. 2: average iteration energy with Gaussian inputs
-// (mean 0, σ 210 FP / 25 INT8).
-func Fig2Energy() Experiment {
-	return Experiment{
-		ID:       "fig2",
-		Title:    "Average iteration energy by datatype (Gaussian inputs)",
-		Takeaway: "Energy tracks runtime across datatypes at similar power",
-		XLabel:   "baseline",
-		Points:   []Point{gaussianDefaultPoint("gaussian", 0)},
-	}
-}
-
-// Fig3aStddev is Fig. 3a: Gaussian standard deviation sweep at mean 0.
-// The sweep is expressed as a multiple of the datatype's default σ so
-// all datatypes stay in range.
-func Fig3aStddev() Experiment {
-	fracs := []float64{0.01, 0.05, 0.25, 0.5, 1, 2.5, 5}
-	pts := make([]Point, len(fracs))
-	for i, f := range fracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%gxσ₀", f),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.Gaussian(0, f*matrix.DefaultStd(dt))
-			},
+// Figures returns every single-device panel of the paper's evaluation
+// (§IV, Figs. 1–6) in paper order: the one table that defines them.
+// Each row is a panel's ID, title, numbered takeaway, x label and
+// points; every panel past the two baselines sweeps one input axis.
+func Figures() []Experiment {
+	baseline := []Point{{Label: "gaussian", Pattern: func(matrix.DType) patterns.Pattern {
+		return patterns.GaussianDefault()
+	}}}
+	// The LSB/MSB sweeps take fractions of the datatype width, so FP32
+	// (32b), FP16 (16b) and INT8 (8b) sweep their whole lanes.
+	bitFracs := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.75, 1}
+	sortFracs := []float64{0, 0.25, 0.5, 0.75, 1}
+	sparsityFracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1}
+	sorted := func(kind patterns.SortKind) func(matrix.DType, float64) patterns.Pattern {
+		return func(_ matrix.DType, f float64) patterns.Pattern {
+			return patterns.GaussianDefault().Sorted(kind, f)
 		}
 	}
-	return Experiment{
-		ID:       "fig3a",
-		Title:    "Distribution standard deviation",
-		Takeaway: "T1: input distribution standard deviation does not significantly impact power",
-		XLabel:   "σ multiplier",
-		Points:   pts,
+	return []Experiment{
+		// Fig. 1: iteration runtime of the 2048² GEMM at the baseline
+		// input; the interesting axis is the datatype.
+		{"fig1", "Average iteration runtime by datatype",
+			"Iteration runtimes are input-independent and consistent to the microsecond",
+			"baseline", baseline},
+		// Fig. 2: iteration energy with Gaussian inputs (mean 0, σ 210
+		// FP / 25 INT8).
+		{"fig2", "Average iteration energy by datatype (Gaussian inputs)",
+			"Energy tracks runtime across datatypes at similar power",
+			"baseline", baseline},
+		// Fig. 3a: Gaussian σ at mean 0, as a multiple of the datatype's
+		// default σ so every datatype stays in range.
+		{"fig3a", "Distribution standard deviation",
+			"T1: input distribution standard deviation does not significantly impact power",
+			"σ multiplier", sweep([]float64{0.01, 0.05, 0.25, 0.5, 1, 2.5, 5}, format("%gxσ₀"),
+				func(dt matrix.DType, f float64) patterns.Pattern {
+					return patterns.Gaussian(0, f*matrix.DefaultStd(dt))
+				})},
+		// Fig. 3b: Gaussian mean at σ = 1. INT8 means are clamped to 100
+		// to stay inside the representable range.
+		{"fig3b", "Distribution mean",
+			"T2: larger input value means can reduce power for FP datatypes",
+			"distribution mean", sweep([]float64{0, 1, 4, 16, 64, 256, 1024}, format("mean=%g"),
+				func(dt matrix.DType, mu float64) patterns.Pattern {
+					if dt == matrix.INT8 && mu > 100 {
+						mu = 100
+					}
+					return patterns.Gaussian(mu, 1)
+				})},
+		// Fig. 3c: inputs drawn uniformly from a set of n Gaussian values.
+		{"fig3c", "Inputs from a set",
+			"T3: inputs from a small set of unique values decrease power consumption",
+			"set size", sweep([]float64{1, 2, 4, 16, 64, 256, 1024}, format("n=%g"),
+				func(dt matrix.DType, n float64) patterns.Pattern {
+					return patterns.FromSet(int(n), 0, matrix.DefaultStd(dt))
+				})},
+		// Fig. 4a: flip each bit of a constant fill with probability p.
+		{"fig4a", "Random bit flips",
+			"T4: input data with highly similar bits uses less power",
+			"flip probability", sweep([]float64{0, 0.05, 0.1, 0.2, 0.3, 0.5}, format("p=%g"),
+				func(dt matrix.DType, p float64) patterns.Pattern {
+					return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).BitFlips(p)
+				})},
+		// Fig. 4b: randomize the least significant bits of a constant fill.
+		{"fig4b", "Least significant bits randomized",
+			"T5: as more least significant bits are randomized, power increases",
+			"fraction of LSBs randomized", sweep(bitFracs, percent(" of bits"),
+				func(dt matrix.DType, f float64) patterns.Pattern {
+					return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).RandomLSBs(bitsOf(dt, f))
+				})},
+		// Fig. 4c: randomize the most significant bits of a constant fill.
+		{"fig4c", "Most significant bits randomized",
+			"T6: as more of the most significant bits are randomized, power increases",
+			"fraction of MSBs randomized", sweep(bitFracs, percent(" of bits"),
+				func(dt matrix.DType, f float64) patterns.Pattern {
+					return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).RandomMSBs(bitsOf(dt, f))
+				})},
+		// Fig. 5a: partial sort into rows, B not transposed.
+		{"fig5a", "Sorted into rows (B not transposed)",
+			"T8: sorting input values can decrease power consumption",
+			"fraction sorted", untransposed(sweep(sortFracs, percent(""), sorted(patterns.SortRows)))},
+		// Fig. 5b: partial sort into rows with B transposed, so the
+		// lowest values of A multiply the lowest of B.
+		{"fig5b", "Sorted and aligned (B transposed)",
+			"T9: aligning sorted values decreases power even more than just sorting",
+			"fraction sorted", sweep(sortFracs, percent(""), sorted(patterns.SortRows))},
+		// Fig. 5c: partial sort into columns.
+		{"fig5c", "Sorted into columns",
+			"T10: sorting values into columns can decrease power consumption",
+			"fraction sorted", sweep(sortFracs, percent(""), sorted(patterns.SortCols))},
+		// Fig. 5d: partial sort within each row.
+		{"fig5d", "Sorted within rows",
+			"T11: intra-row sorting can decrease power, but to a lesser extent than sorting fully",
+			"fraction sorted", sweep(sortFracs, percent(""), sorted(patterns.SortWithinRows))},
+		// Fig. 6a: random sparsity on Gaussian inputs.
+		{"fig6a", "General sparsity",
+			"T12: matrix sparsity decreases GEMM power",
+			"sparsity", sweep(sparsityFracs, percent(""),
+				func(_ matrix.DType, f float64) patterns.Pattern {
+					return patterns.GaussianDefault().Sparse(f)
+				})},
+		// Fig. 6b: matrices fully sorted before sparsity is added. For FP
+		// datatypes power peaks around 30–40% sparsity.
+		{"fig6b", "Sparsity after sorting",
+			"T13: sparsity applied to sorted matrices can actually increase power consumption",
+			"sparsity", sweep(sparsityFracs, percent(""),
+				func(_ matrix.DType, f float64) patterns.Pattern {
+					return patterns.GaussianDefault().Sorted(patterns.SortRows, 1).Sparse(f)
+				})},
+		// Fig. 6c: zero the least significant bits of Gaussian inputs.
+		{"fig6c", "Sparsity in least significant bits",
+			"T14: zeroing least significant bits can reduce power",
+			"fraction of LSBs zeroed", sweep(bitFracs, percent(" of bits"),
+				func(dt matrix.DType, f float64) patterns.Pattern {
+					return patterns.GaussianDefault().ZeroLSBs(bitsOf(dt, f))
+				})},
+		// Fig. 6d: zero the most significant bits of Gaussian inputs.
+		{"fig6d", "Sparsity in most significant bits",
+			"T15: zeroing most significant bits can reduce power",
+			"fraction of MSBs zeroed", sweep(bitFracs, percent(" of bits"),
+				func(dt matrix.DType, f float64) patterns.Pattern {
+					return patterns.GaussianDefault().ZeroMSBs(bitsOf(dt, f))
+				})},
 	}
 }
 
-// Fig3bMean is Fig. 3b: Gaussian mean sweep at σ = 1. INT8 means are
-// compressed to stay inside the representable range.
-func Fig3bMean() Experiment {
-	means := []float64{0, 1, 4, 16, 64, 256, 1024}
-	pts := make([]Point, len(means))
-	for i, mu := range means {
-		mu := mu
-		pts[i] = Point{
-			Label: fmt.Sprintf("mean=%g", mu),
-			X:     mu,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				m := mu
-				if dt == matrix.INT8 && m > 100 {
-					m = 100
-				}
-				return patterns.Gaussian(m, 1)
-			},
-		}
+// sweep returns one point per x, labelled by label, whose pattern for a
+// datatype is pattern(dt, x).
+func sweep(xs []float64, label func(x float64) string, pattern func(dt matrix.DType, x float64) patterns.Pattern) []Point {
+	pts := make([]Point, len(xs))
+	for i, x := range xs {
+		pts[i] = Point{Label: label(x), X: x, Pattern: func(dt matrix.DType) patterns.Pattern {
+			return pattern(dt, x)
+		}}
 	}
-	return Experiment{
-		ID:       "fig3b",
-		Title:    "Distribution mean",
-		Takeaway: "T2: larger input value means can reduce power for FP datatypes",
-		XLabel:   "distribution mean",
-		Points:   pts,
-	}
+	return pts
 }
 
-// Fig3cValueSet is Fig. 3c: inputs drawn uniformly from a set of n
-// Gaussian values.
-func Fig3cValueSet() Experiment {
-	sizes := []int{1, 2, 4, 16, 64, 256, 1024}
-	pts := make([]Point, len(sizes))
-	for i, n := range sizes {
-		n := n
-		pts[i] = Point{
-			Label: fmt.Sprintf("n=%d", n),
-			X:     float64(n),
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.FromSet(n, 0, matrix.DefaultStd(dt))
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig3c",
-		Title:    "Inputs from a set",
-		Takeaway: "T3: inputs from a small set of unique values decrease power consumption",
-		XLabel:   "set size",
-		Points:   pts,
-	}
+// format labels x with a layout holding one verb, e.g. "p=%g".
+func format(layout string) func(x float64) string {
+	return func(x float64) string { return fmt.Sprintf(layout, x) }
 }
 
-// Fig4aBitFlips is Fig. 4a: starting from constant-filled matrices,
-// flip each bit with probability p.
-func Fig4aBitFlips() Experiment {
-	probs := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5}
-	pts := make([]Point, len(probs))
-	for i, p := range probs {
-		p := p
-		pts[i] = Point{
-			Label: fmt.Sprintf("p=%g", p),
-			X:     p,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).BitFlips(p)
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig4a",
-		Title:    "Random bit flips",
-		Takeaway: "T4: input data with highly similar bits uses less power",
-		XLabel:   "flip probability",
-		Points:   pts,
-	}
+// percent labels a fraction as a whole percentage followed by suffix,
+// e.g. "50%" or "50% of bits".
+func percent(suffix string) func(frac float64) string {
+	return func(frac float64) string { return fmt.Sprintf("%.0f%%", frac*100) + suffix }
 }
 
-// bitFracs parameterizes the LSB/MSB sweeps as fractions of the
-// datatype width, so FP32 (32b), FP16 (16b) and INT8 (8b) sweep their
-// whole lanes.
-var bitFracs = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.75, 1}
-
+// bitsOf converts a fraction of dt's width to a bit count.
 func bitsOf(dt matrix.DType, frac float64) int {
 	return int(math.Round(frac * float64(dt.Width())))
 }
 
-// Fig4bLSB is Fig. 4b: randomize the least significant bits of a
-// constant fill.
-func Fig4bLSB() Experiment {
-	pts := make([]Point, len(bitFracs))
-	for i, f := range bitFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%% of bits", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).RandomLSBs(bitsOf(dt, f))
-			},
-		}
+// untransposed has every point consume B as generated instead of the
+// paper's default Bᵀ.
+func untransposed(pts []Point) []Point {
+	for i := range pts {
+		pts[i].UntransposedB = true
 	}
-	return Experiment{
-		ID:       "fig4b",
-		Title:    "Least significant bits randomized",
-		Takeaway: "T5: as more least significant bits are randomized, power increases",
-		XLabel:   "fraction of LSBs randomized",
-		Points:   pts,
-	}
-}
-
-// Fig4cMSB is Fig. 4c: randomize the most significant bits.
-func Fig4cMSB() Experiment {
-	pts := make([]Point, len(bitFracs))
-	for i, f := range bitFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%% of bits", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.ConstantRandom(0, matrix.DefaultStd(dt)).RandomMSBs(bitsOf(dt, f))
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig4c",
-		Title:    "Most significant bits randomized",
-		Takeaway: "T6: as more of the most significant bits are randomized, power increases",
-		XLabel:   "fraction of MSBs randomized",
-		Points:   pts,
-	}
-}
-
-var sortFracs = []float64{0, 0.25, 0.5, 0.75, 1}
-
-func sortExperiment(id, title, takeaway string, kind patterns.SortKind, transposeB *bool) Experiment {
-	pts := make([]Point, len(sortFracs))
-	for i, f := range sortFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%%", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.GaussianDefault().Sorted(kind, f)
-			},
-			TransposeB: transposeB,
-		}
-	}
-	return Experiment{ID: id, Title: title, Takeaway: takeaway, XLabel: "fraction sorted", Points: pts}
-}
-
-// Fig5aSortRows is Fig. 5a: partial sort into rows, B not transposed.
-func Fig5aSortRows() Experiment {
-	return sortExperiment("fig5a", "Sorted into rows (B not transposed)",
-		"T8: sorting input values can decrease power consumption",
-		patterns.SortRows, boolPtr(false))
-}
-
-// Fig5bSortAligned is Fig. 5b: partial sort into rows with B
-// transposed, so the lowest values of A multiply the lowest of B.
-func Fig5bSortAligned() Experiment {
-	return sortExperiment("fig5b", "Sorted and aligned (B transposed)",
-		"T9: aligning sorted values decreases power even more than just sorting",
-		patterns.SortRows, boolPtr(true))
-}
-
-// Fig5cSortCols is Fig. 5c: partial sort into columns.
-func Fig5cSortCols() Experiment {
-	return sortExperiment("fig5c", "Sorted into columns",
-		"T10: sorting values into columns can decrease power consumption",
-		patterns.SortCols, nil)
-}
-
-// Fig5dSortWithinRows is Fig. 5d: partial sort within each row.
-func Fig5dSortWithinRows() Experiment {
-	return sortExperiment("fig5d", "Sorted within rows",
-		"T11: intra-row sorting can decrease power, but to a lesser extent than sorting fully",
-		patterns.SortWithinRows, nil)
-}
-
-var sparsityFracs = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1}
-
-// Fig6aSparsity is Fig. 6a: random sparsity on Gaussian inputs.
-func Fig6aSparsity() Experiment {
-	pts := make([]Point, len(sparsityFracs))
-	for i, f := range sparsityFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%%", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.GaussianDefault().Sparse(f)
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig6a",
-		Title:    "General sparsity",
-		Takeaway: "T12: matrix sparsity decreases GEMM power",
-		XLabel:   "sparsity",
-		Points:   pts,
-	}
-}
-
-// Fig6bSparsityAfterSort is Fig. 6b: matrices fully sorted before
-// sparsity is added. For FP datatypes power peaks around 30–40%
-// sparsity.
-func Fig6bSparsityAfterSort() Experiment {
-	pts := make([]Point, len(sparsityFracs))
-	for i, f := range sparsityFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%%", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.GaussianDefault().Sorted(patterns.SortRows, 1).Sparse(f)
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig6b",
-		Title:    "Sparsity after sorting",
-		Takeaway: "T13: sparsity applied to sorted matrices can actually increase power consumption",
-		XLabel:   "sparsity",
-		Points:   pts,
-	}
-}
-
-// Fig6cZeroLSB is Fig. 6c: zero the least significant bits of Gaussian
-// inputs.
-func Fig6cZeroLSB() Experiment {
-	pts := make([]Point, len(bitFracs))
-	for i, f := range bitFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%% of bits", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.GaussianDefault().ZeroLSBs(bitsOf(dt, f))
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig6c",
-		Title:    "Sparsity in least significant bits",
-		Takeaway: "T14: zeroing least significant bits can reduce power",
-		XLabel:   "fraction of LSBs zeroed",
-		Points:   pts,
-	}
-}
-
-// Fig6dZeroMSB is Fig. 6d: zero the most significant bits.
-func Fig6dZeroMSB() Experiment {
-	pts := make([]Point, len(bitFracs))
-	for i, f := range bitFracs {
-		f := f
-		pts[i] = Point{
-			Label: fmt.Sprintf("%.0f%% of bits", f*100),
-			X:     f,
-			Pattern: func(dt matrix.DType) patterns.Pattern {
-				return patterns.GaussianDefault().ZeroMSBs(bitsOf(dt, f))
-			},
-		}
-	}
-	return Experiment{
-		ID:       "fig6d",
-		Title:    "Sparsity in most significant bits",
-		Takeaway: "T15: zeroing most significant bits can reduce power",
-		XLabel:   "fraction of MSBs zeroed",
-		Points:   pts,
-	}
-}
-
-// Figures returns every single-device experiment in paper order.
-func Figures() []Experiment {
-	return []Experiment{
-		Fig1Runtime(), Fig2Energy(),
-		Fig3aStddev(), Fig3bMean(), Fig3cValueSet(),
-		Fig4aBitFlips(), Fig4bLSB(), Fig4cMSB(),
-		Fig5aSortRows(), Fig5bSortAligned(), Fig5cSortCols(), Fig5dSortWithinRows(),
-		Fig6aSparsity(), Fig6bSparsityAfterSort(), Fig6cZeroLSB(), Fig6dZeroMSB(),
-	}
+	return pts
 }
 
 // Get returns the experiment with the given ID.
@@ -379,7 +197,9 @@ type Fig7Result struct {
 // GPUs: distribution mean, MSB randomization, sorted rows, and general
 // sparsity (all FP16).
 func Fig7Experiments() []Experiment {
-	return []Experiment{Fig3bMean(), Fig4cMSB(), Fig5aSortRows(), Fig6aSparsity()}
+	return slices.DeleteFunc(Figures(), func(e Experiment) bool {
+		return !slices.Contains([]string{"fig3b", "fig4c", "fig5a", "fig6a"}, e.ID)
+	})
 }
 
 // RunFig7 executes the generalization study. The base configuration

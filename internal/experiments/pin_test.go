@@ -57,24 +57,24 @@ func TestTrainingSamplesPinnedBits(t *testing.T) {
 // randomizations.
 func TestRunPinnedBits(t *testing.T) {
 	cases := []struct {
-		exp    Experiment
+		id     string
 		tile   kernels.TileConfig
 		digest uint64
 	}{
-		{Fig5aSortRows(), kernels.TileConfig{}, 0xfbabed2fa161a078},
-		{Fig6aSparsity(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0xb00dc49a99e61128},
-		{Fig5cSortCols(), kernels.TileConfig{}, 0x67132a9a13b420a2},
-		{Fig5dSortWithinRows(), kernels.TileConfig{}, 0xd42005d8d87e0d81},
-		{Fig6bSparsityAfterSort(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x92f4d459c214155b},
-		{Fig6cZeroLSB(), kernels.TileConfig{}, 0x560581eead7d0166},
-		{Fig3cValueSet(), kernels.TileConfig{}, 0x7082df442386dbf1},
-		{Fig4aBitFlips(), kernels.TileConfig{}, 0x934adf9ac18fcbf3},
-		{Fig4bLSB(), kernels.TileConfig{}, 0x22f920f1118f451b},
-		{Fig4cMSB(), kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x38885c03c0771dc1},
-		{Fig6dZeroMSB(), kernels.TileConfig{}, 0x3d27fe0b62202f},
+		{"fig5a", kernels.TileConfig{}, 0xfbabed2fa161a078},
+		{"fig6a", kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0xb00dc49a99e61128},
+		{"fig5c", kernels.TileConfig{}, 0x67132a9a13b420a2},
+		{"fig5d", kernels.TileConfig{}, 0xd42005d8d87e0d81},
+		{"fig6b", kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x92f4d459c214155b},
+		{"fig6c", kernels.TileConfig{}, 0x560581eead7d0166},
+		{"fig3c", kernels.TileConfig{}, 0x7082df442386dbf1},
+		{"fig4a", kernels.TileConfig{}, 0x934adf9ac18fcbf3},
+		{"fig4b", kernels.TileConfig{}, 0x22f920f1118f451b},
+		{"fig4c", kernels.TileConfig{BlockM: 32, BlockN: 32, BlockK: 16}, 0x38885c03c0771dc1},
+		{"fig6d", kernels.TileConfig{}, 0x3d27fe0b62202f},
 	}
 	for _, c := range cases {
-		t.Run(c.exp.ID, func(t *testing.T) {
+		t.Run(c.id, func(t *testing.T) {
 			cfg := Config{
 				Device:        device.A100PCIe(),
 				Size:          64,
@@ -84,7 +84,7 @@ func TestRunPinnedBits(t *testing.T) {
 				VMInstance:    1,
 				Tile:          c.tile,
 			}
-			fr, err := Run(c.exp, cfg)
+			fr, err := Run(panel(t, c.id), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
