@@ -43,9 +43,6 @@ import (
 
 // Config controls activity extraction.
 type Config struct {
-	// Tile is the threadblock tiling, which sets the stream reuse
-	// factors. Zero value means the dtype default.
-	Tile kernels.TileConfig
 	// SampleOutputs is the number of distinct output positions whose
 	// product and accumulator trajectories are walked exactly. Zero
 	// means the default of 512. Positions are drawn without replacement
@@ -127,9 +124,6 @@ func AnalyzeWithStats(p *kernels.Problem, cfg Config, stA, stB *OperandStats) (*
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Tile == (kernels.TileConfig{}) {
-		cfg.Tile = p.Tile
-	}
 	if cfg.SampleOutputs <= 0 {
 		cfg.SampleOutputs = DefaultSampleOutputs
 	}
@@ -188,8 +182,8 @@ func AnalyzeWithStats(p *kernels.Problem, cfg Config, stA, stB *OperandStats) (*
 
 	// Stream toggles: each A tile row panel is re-streamed once per
 	// column block of the output, each B panel once per row block.
-	reuseA := int64(ceilDiv(m, cfg.Tile.BlockN))
-	reuseB := int64(ceilDiv(n, cfg.Tile.BlockM))
+	reuseA := int64(ceilDiv(m, p.Tile.BlockN))
+	reuseB := int64(ceilDiv(n, p.Tile.BlockM))
 	r.StreamToggles = reuseA*aRowToggles + reuseB*bColToggles
 
 	sampleWalk(p, cfg, r)

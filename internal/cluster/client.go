@@ -84,15 +84,6 @@ type Config struct {
 	// RetryRefillPerSec restores budget tokens over time
 	// (0 = DefaultRetryRefillPerSec, negative = no refill).
 	RetryRefillPerSec float64
-	// RetrySeed seeds the backoff jitter (0 = a fixed default, so runs
-	// are reproducible unless an operator opts into a fresh seed).
-	RetrySeed uint64
-	// JournalSize bounds the replay journal — the record of recently
-	// served keys a resize replays against a new owner when the donor
-	// shard cannot export its cache (0 = DefaultJournalSize, negative =
-	// no journal, so warmup has no fallback and cold misses go
-	// uncounted).
-	JournalSize int
 	// Fallback, when set, answers requests whose every replica is
 	// unreachable by computing locally (cmd/powerrouter's -fallback
 	// local wires a serve.Core here). Fallback responses carry the
@@ -117,7 +108,7 @@ type Client struct {
 	// topology changes cannot interleave their handoffs.
 	resizeMu sync.Mutex
 
-	journal    *keyJournal // nil = disabled
+	journal    *keyJournal
 	retryDelay *backoff
 	budget     *tokenBucket // nil = unlimited
 
@@ -208,13 +199,11 @@ func New(cfg Config) (*Client, error) {
 	if cfg.RetryRefillPerSec == 0 {
 		cfg.RetryRefillPerSec = DefaultRetryRefillPerSec
 	}
-	if cfg.RetrySeed == 0 {
-		cfg.RetrySeed = defaultRetrySeed
-	}
 	m := obs.NewMetricSet()
 	c := &Client{
 		cfg:             cfg,
-		retryDelay:      newBackoff(cfg.RetryBase, cfg.RetryCap, cfg.RetrySeed),
+		journal:         newKeyJournal(),
+		retryDelay:      newBackoff(cfg.RetryBase, cfg.RetryCap, retrySeed),
 		metrics:         m,
 		requests:        m.Counter("cluster.requests"),
 		batches:         m.Counter("cluster.batch.requests"),
@@ -246,13 +235,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.RetryBudget > 0 {
 		c.budget = newTokenBucket(cfg.RetryBudget, cfg.RetryRefillPerSec)
-	}
-	if cfg.JournalSize >= 0 {
-		size := cfg.JournalSize
-		if size == 0 {
-			size = DefaultJournalSize
-		}
-		c.journal = newKeyJournal(size)
 	}
 	shards := make(map[int]*shardState, len(cfg.Shards))
 	for i, s := range cfg.Shards {
@@ -361,9 +343,6 @@ func (c *Client) noteUp(s *shardState) {
 // carry — the measurable hit-rate dip. Degraded (fallback) answers are
 // journaled but never counted: the fallback's cache is not the ring's.
 func (c *Client) noteServed(key serve.Key, cached, degraded bool) {
-	if c.journal == nil {
-		return
-	}
 	seen := c.journal.note(key)
 	if seen && !cached && !degraded && c.resizeEpochs.Load() > 0 {
 		c.coldMisses.Inc()

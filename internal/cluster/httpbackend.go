@@ -65,10 +65,9 @@ const (
 	DefaultMetricsTimeout = 2 * time.Second
 )
 
-// BackendConfig tunes an HTTPBackend's own deadlines. The zero value
-// is the historical behaviour (5-minute requests, 2-second metrics
-// probes); negative values disable the corresponding default so only
-// caller-supplied deadlines apply.
+// BackendConfig tunes an HTTPBackend's request deadline. The zero
+// value is the historical 5-minute default; a negative value disables
+// it so only caller-supplied deadlines apply.
 type BackendConfig struct {
 	// RequestTimeout is the deadline applied to a request whose caller
 	// context has none (0 = DefaultRequestTimeout, negative = none).
@@ -76,17 +75,11 @@ type BackendConfig struct {
 	// per-attempt timeout — always win: this default is a backstop, not
 	// a cap.
 	RequestTimeout time.Duration
-	// MetricsTimeout bounds the best-effort Metrics snapshot fetch
-	// (0 = DefaultMetricsTimeout, negative = none).
-	MetricsTimeout time.Duration
 }
 
 func (c BackendConfig) withDefaults() BackendConfig {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.MetricsTimeout == 0 {
-		c.MetricsTimeout = DefaultMetricsTimeout
 	}
 	return c
 }
@@ -166,12 +159,8 @@ func (b *HTTPBackend) Health(ctx context.Context) (*serve.HealthResponse, error)
 // unreachable shard yields nil (the interface has no error slot, and
 // metrics are advisory).
 func (b *HTTPBackend) Metrics() map[string]int64 {
-	ctx := context.Background()
-	if b.cfg.MetricsTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.cfg.MetricsTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultMetricsTimeout)
+	defer cancel()
 	var resp serve.MetricsResponse
 	if err := b.get(ctx, "/metrics", &resp); err != nil {
 		return nil

@@ -17,8 +17,8 @@ import (
 	"repro/internal/serve"
 )
 
-// DefaultJournalSize bounds the replay journal (see Config.JournalSize).
-const DefaultJournalSize = 4096
+// journalSize bounds the replay journal.
+const journalSize = 4096
 
 // journalEntry is one remembered key.
 type journalEntry struct {
@@ -32,19 +32,14 @@ type journalEntry struct {
 // first), which is deterministic for a deterministic request stream.
 type keyJournal struct {
 	mu    sync.Mutex
-	cap   int
 	order *list.List // front = most recently served
 	items map[string]*list.Element
 }
 
-func newKeyJournal(capacity int) *keyJournal {
-	if capacity < 1 {
-		capacity = 1
-	}
+func newKeyJournal() *keyJournal {
 	return &keyJournal{
-		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[string]*list.Element, journalSize),
 	}
 }
 
@@ -68,7 +63,7 @@ func (j *keyJournal) note(key serve.Key) bool {
 			Size:    key.Size,
 		},
 	})
-	for j.order.Len() > j.cap {
+	for j.order.Len() > journalSize {
 		oldest := j.order.Back()
 		j.order.Remove(oldest)
 		delete(j.items, oldest.Value.(*journalEntry).route)

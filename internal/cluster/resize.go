@@ -209,11 +209,9 @@ func (c *Client) handoff(ctx context.Context, moves []RangeMove, state func(int)
 	for _, p := range order {
 		ranges := grouped[p]
 		donor, dest := state(p.from), state(p.to)
-		if c.journal != nil {
-			moved := len(c.journal.inRanges(ranges))
-			rep.KeysMoved += moved
-			c.keysMoved.Add(int64(moved))
-		}
+		moved := len(c.journal.inRanges(ranges))
+		rep.KeysMoved += moved
+		c.keysMoved.Add(int64(moved))
 		migrated, err := migrate(ctx, donor, dest, ranges)
 		if err == nil {
 			rep.EntriesMigrated += migrated
@@ -254,9 +252,6 @@ func migrate(ctx context.Context, donor, dest *shardState, ranges []serve.HashRa
 // Predict — no retryCall, no budget, no cluster.retry.* accounting —
 // because warmup is best-effort background work, not request traffic.
 func (c *Client) replayRanges(ctx context.Context, dest *shardState, ranges []serve.HashRange, rep *ResizeReport) {
-	if c.journal == nil {
-		return
-	}
 	for _, je := range c.journal.inRanges(ranges) {
 		if ctx.Err() != nil {
 			return

@@ -36,9 +36,8 @@ const (
 	DefaultRetryBudget = 64
 	// DefaultRetryRefillPerSec restores budget tokens over time.
 	DefaultRetryRefillPerSec = 8
-	// defaultRetrySeed seeds the backoff jitter when Config.RetrySeed
-	// is zero, keeping default behaviour reproducible run to run.
-	defaultRetrySeed = 0x9e3779b97f4a7c15
+	// retrySeed seeds the backoff jitter, keeping runs reproducible.
+	retrySeed = 0x9e3779b97f4a7c15
 )
 
 // BudgetError reports that the retry budget was exhausted before the

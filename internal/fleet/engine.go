@@ -335,7 +335,7 @@ func (e *Engine) Advance(ctx context.Context, maxTicks int) (State, error) {
 		}
 		if e.cfg.RecordSamples && e.nowS >= e.nextSample {
 			e.recordSample(fleetW, powers)
-			e.nextSample += e.cfg.SamplePeriodS
+			e.nextSample += samplePeriodS
 		}
 		e.nowS += dt
 	}

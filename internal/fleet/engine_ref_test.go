@@ -92,7 +92,7 @@ func (e *Engine) refTick(ctx context.Context) (State, error) {
 	}
 	if e.cfg.RecordSamples && e.nowS >= e.nextSample {
 		e.recordSample(fleetW, e.powerBuf)
-		e.nextSample += e.cfg.SamplePeriodS
+		e.nextSample += samplePeriodS
 	}
 	e.nowS += dt
 	e.state = Running

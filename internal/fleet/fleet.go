@@ -65,9 +65,6 @@ type Config struct {
 	AmbientC float64
 	// TickS is the integration step (default 1 ms).
 	TickS float64
-	// SamplePeriodS is the telemetry sampling spacing (default 100 ms,
-	// the paper's DCGM period).
-	SamplePeriodS float64
 	// ThermalTauS is the first-order thermal time constant used to
 	// integrate device temperature toward its steady state
 	// (default 2 s).
@@ -92,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.TickS <= 0 {
 		c.TickS = 1e-3
 	}
-	if c.SamplePeriodS <= 0 {
-		c.SamplePeriodS = 0.1
-	}
 	if c.ThermalTauS <= 0 {
 		c.ThermalTauS = 2.0
 	}
@@ -103,6 +97,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// samplePeriodS is the telemetry sampling spacing of
+// Config.RecordSamples: 100 ms, the paper's DCGM period.
+const samplePeriodS = 0.1
 
 // resolveChunk bounds one Oracle.Resolve call so HTTP-backed oracles
 // stay inside the server's batch item limit.

@@ -30,10 +30,12 @@ const (
 	MaxInstanceOffsetW = 10.0
 )
 
+// warmupTauS is the thermal/power ramp time constant after the first
+// kernel launch.
+const warmupTauS = 0.12
+
 // Config controls the synthetic measurement chain.
 type Config struct {
-	// PeriodS is the sampler period; zero means DCGMPeriodS.
-	PeriodS float64
 	// VMInstance selects the GPU specimen; the process-variation power
 	// offset is a deterministic function of it. Experiments pin this.
 	VMInstance uint64
@@ -42,22 +44,13 @@ type Config struct {
 	// NoiseW is the standard deviation of per-sample measurement noise;
 	// zero means the default 0.6 W. Negative disables noise.
 	NoiseW float64
-	// WarmupTauS is the thermal/power ramp time constant after the
-	// first kernel launch; zero means the default 0.12 s.
-	WarmupTauS float64
 }
 
 func (c Config) withDefaults() Config {
-	if c.PeriodS == 0 {
-		c.PeriodS = DCGMPeriodS
-	}
 	if c.NoiseW == 0 {
 		c.NoiseW = 0.6
 	} else if c.NoiseW < 0 {
 		c.NoiseW = 0
-	}
-	if c.WarmupTauS == 0 {
-		c.WarmupTauS = 0.12
 	}
 	return c
 }
@@ -103,7 +96,7 @@ func (tr *Trace) PowerAt(t float64) float64 {
 	}
 	idle := tr.res.Device.IdleWatts
 	steady := tr.res.AvgPowerW + tr.offset
-	p := idle + (steady-idle)*(1-math.Exp(-t/tr.cfg.WarmupTauS))
+	p := idle + (steady-idle)*(1-math.Exp(-t/warmupTauS))
 	return p + tr.noiseAt(t)
 }
 
@@ -158,7 +151,7 @@ func Measure(res *power.Result, iterations int, cfg Config) (*Measurement, error
 	duration := float64(iterations) * res.IterTimeS
 
 	var samples []SamplePoint
-	for t := cfg.PeriodS; t <= duration; t += cfg.PeriodS {
+	for t := DCGMPeriodS; t <= duration; t += DCGMPeriodS {
 		samples = append(samples, SamplePoint{TimeS: t, PowerW: tr.PowerAt(t)})
 	}
 	if len(samples) == 0 {

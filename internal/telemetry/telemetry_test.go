@@ -215,9 +215,6 @@ func TestRecommendedIterations(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.PeriodS != DCGMPeriodS {
-		t.Error("default period should be 100ms")
-	}
 	if c.NoiseW != 0.6 {
 		t.Error("default noise should be 0.6W")
 	}
