@@ -230,9 +230,9 @@ func (c *baseCache) group(key groupKey, gen func(g *groupEntry)) *groupEntry {
 // operand statistics in the requested stream orientation (colOrient
 // false: row stream, the profile of operand A or of a transposed-
 // storage operand B; true: column stream). The statistics are nil when
-// they could not be derived cheaply — monolithic patterns, untrackable
-// transform chains, or dense touch sets — and the caller falls back to
-// activity's full rescan.
+// they could not be derived cheaply — untrackable transform chains or
+// dense touch sets — and the caller falls back to activity's full
+// rescan.
 //
 // The matrix is the cached base (generated from a side-and-base-
 // specific stream, shared read-only) or the cached prefix built from
@@ -245,11 +245,6 @@ func (c *baseCache) group(key groupKey, gen func(g *groupEntry)) *groupEntry {
 func (r *runner) materialize(pat patterns.Pattern, dt matrix.DType, side string, seed int,
 	streamSeed uint64, colOrient bool) (*matrix.Matrix, *activity.OperandStats, bool) {
 	size := r.cfg.Size
-	if pat.BaseFill == nil {
-		m := matrix.New(dt, size, size)
-		pat.Apply(m, rng.Derive(streamSeed, side))
-		return m, nil, false
-	}
 	cache := r.cache
 	baseAt := baseKey{class: encClass(dt), side: side, seed: seed, stageName: stageName{base: pat.BaseName}}
 	genBase := func(e *baseEntry) *matrix.Matrix {
