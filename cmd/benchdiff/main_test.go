@@ -170,7 +170,7 @@ func TestDefaultFilterCoverage(t *testing.T) {
 		"BenchmarkReference",
 		"BenchmarkGEMM",
 		"BenchmarkActivity",
-		"BenchmarkAnalyze256FP16",
+		"BenchmarkAnalyze1024FP32",
 		"BenchmarkPredict",
 		"BenchmarkEngineTick",
 		"BenchmarkTransform/sparsify",

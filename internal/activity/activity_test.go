@@ -408,14 +408,14 @@ func walkWant(dt matrix.DType, aRow, bCol []uint32) (prodTog, accTog int64, alig
 	return prodTog, accTog, align
 }
 
-// TestFP16SampledWalkMatchesKernelArithmetic holds the sampled walk to
-// walkWant on every datatype, over raw bit patterns with planted NaN
+// TestSampledWalkMatchesWalkWant holds the sampled walk to walkWant on
+// every extended datatype, over raw bit patterns with planted NaN
 // pairs, so a NaN meets a NaN in the multiply and in the accumulate. At
 // sample counts 1 and 3 every output is sampled, so the report's
 // totals are plain sums over the lanes, and the last sample walks
 // paired with itself; the 1×3 output pairs lanes on different B
 // columns.
-func TestFP16SampledWalkMatchesKernelArithmetic(t *testing.T) {
+func TestSampledWalkMatchesWalkWant(t *testing.T) {
 	const k = 11
 	nans := map[matrix.DType][2]uint32{
 		matrix.FP32:  {0x7fc00001, 0xffa00002},
@@ -476,16 +476,6 @@ func TestFP16SampledWalkMatchesKernelArithmetic(t *testing.T) {
 					t.Errorf("mean alignment = %v, want %v", r.MeanAlignment, want)
 				}
 			})
-		}
-	}
-}
-
-func BenchmarkAnalyze256FP16(b *testing.B) {
-	p := gaussianProblem(matrix.FP16, 256, 256, 256, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(p, Config{SampleOutputs: 128, Seed: 1}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
