@@ -6,8 +6,8 @@
 // toggles compete with multiplier gating; ablate the toggle term and the
 // peak collapses into the monotone decrease of Fig. 6a.
 //
-// DESIGN.md lists the component-to-takeaway attributions this package
-// verifies; cmd/ablate prints them.
+// The four TestFig… tests in ablation_test.go check the component-to-
+// takeaway attributions; cmd/ablate prints them.
 package ablation
 
 import (
