@@ -159,7 +159,6 @@ func percent(suffix string) func(frac float64) string {
 	return func(frac float64) string { return fmt.Sprintf("%.0f%%", frac*100) + suffix }
 }
 
-// bitsOf converts a fraction of dt's width to a bit count.
 func bitsOf(dt matrix.DType, frac float64) int {
 	return int(math.Round(frac * float64(dt.Width())))
 }
