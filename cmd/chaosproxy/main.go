@@ -1,13 +1,14 @@
 // Command chaosproxy injects a fault plan in front of a real
-// powerserve (or powerrouter) process: the real-binary twin of
-// internal/faultinject.Transport, consuming the same JSON plan format,
-// so a chaos schedule validated in-process replays identically against
-// live processes in CI.
+// powerserve (or powerrouter) process. It is an httputil.ReverseProxy
+// whose transport is internal/faultinject.Transport, so the same JSON
+// plan injects the same faults against live processes in CI as it
+// does in the in-process chaos tests.
 //
-// Like Transport, only POST requests count toward (and are eligible
-// for) the schedule; GET traffic — health, readiness and metrics
-// polling — forwards unfaulted and uncounted, so readiness probes
-// cannot shift fault indices between runs.
+// Only POST requests count toward (and are eligible for) the schedule;
+// GET traffic — health, readiness and metrics polling — forwards
+// unfaulted and uncounted, so readiness probes cannot shift fault
+// indices between runs. Unlike an in-process Transport, the proxy opts
+// no GET path into the schedule (faultinject's FaultGET).
 //
 // Usage:
 //
@@ -19,10 +20,10 @@
 // response; hang holds the request until the client gives up; delay
 // forwards after the scheduled pause; error answers a plain-text 503
 // without forwarding; truncate forwards, then writes only half the
-// upstream body against a full-length Content-Length, so the client
-// sees the connection die mid-transfer.
+// upstream body and drops the connection, so the client sees it die
+// mid-transfer. An unreachable upstream also drops the connection.
 //
-// -obs-addr starts a second listener with the proxy's own counters
+// -obs-addr starts a second listener with the transport's counters
 // (chaos.requests, chaos.forwarded, chaos.injected.<kind>) as
 // GET /metrics in the standard JSON shape or ?format=prom, plus a
 // /healthz. It must be a separate port: GET on the proxy port forwards
@@ -34,11 +35,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -58,6 +59,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chaosproxy: -upstream and -plan are required")
 		os.Exit(2)
 	}
+	target, err := url.Parse(*upstream)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaosproxy: -upstream: %v\n", err)
+		os.Exit(2)
+	}
 
 	f, err := os.Open(*planPath)
 	if err != nil {
@@ -71,12 +77,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	p := newProxy(*upstream, plan, *shard)
+	tr := faultinject.NewTransport(plan, *shard, &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
+	})
 
 	if *obsAddr != "" {
 		go func() {
 			log.Printf("chaosproxy: metrics on %s", *obsAddr)
-			if err := http.ListenAndServe(*obsAddr, p.obsHandler()); err != nil {
+			if err := http.ListenAndServe(*obsAddr, obsHandler(tr.Metrics())); err != nil {
 				log.Printf("chaosproxy: metrics: %v", err)
 			}
 		}()
@@ -86,7 +96,7 @@ func main() {
 		*addr, *upstream, *planPath, *shard, len(plan.Events))
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           p,
+		Handler:           reverseProxy(target, tr),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	if err := hs.ListenAndServe(); err != nil {
@@ -95,54 +105,28 @@ func main() {
 	}
 }
 
-// proxy forwards requests to the upstream, injecting the plan's fault
-// for each counted POST.
-type proxy struct {
-	upstream string
-	plan     *faultinject.Plan
-	shard    int
-	client   *http.Client
-
-	// metrics counts what the proxy did, so the chaos CI job can assert
-	// the plan's faults were actually injected rather than inferring it
-	// from client-side symptoms: chaos.requests (counted POSTs),
-	// chaos.forwarded (requests the upstream saw), and one
-	// chaos.injected.<kind> counter per fault kind.
-	metrics   *obs.MetricSet
-	requests  *obs.Counter
-	forwarded *obs.Counter
-	injected  map[faultinject.Kind]*obs.Counter
-
-	mu    sync.Mutex
-	count int
-}
-
-func newProxy(upstream string, plan *faultinject.Plan, shard int) *proxy {
-	p := &proxy{
-		upstream: upstream,
-		plan:     plan,
-		shard:    shard,
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-			IdleConnTimeout:     90 * time.Second,
-		}},
-		metrics:  obs.NewMetricSet(),
-		injected: map[faultinject.Kind]*obs.Counter{},
+// reverseProxy forwards every request to target through tr. A request
+// tr fails (a refuse, a hang or delay the client gave up on, an
+// unreachable upstream) aborts the client's connection without a
+// response, as a dead shard would, rather than answering 502.
+func reverseProxy(target *url.URL, tr *faultinject.Transport) *httputil.ReverseProxy {
+	return &httputil.ReverseProxy{
+		Rewrite:   func(r *httputil.ProxyRequest) { r.SetURL(target) },
+		Transport: tr,
+		// Flush every write: when a truncated body aborts the handler,
+		// net/http discards what it still buffers, so without this a
+		// short answer cut in half would reach the client as no answer.
+		FlushInterval: -1,
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			log.Printf("chaosproxy: %s %s: %v", r.Method, r.URL.Path, err)
+			panic(http.ErrAbortHandler)
+		},
 	}
-	p.requests = p.metrics.Counter("chaos.requests")
-	p.forwarded = p.metrics.Counter("chaos.forwarded")
-	// Pre-register every kind so a fault-free run still exposes zeroed
-	// counters the CI assertions can read.
-	for _, k := range faultinject.Kinds() {
-		p.injected[k] = p.metrics.Counter("chaos.injected." + string(k))
-	}
-	return p
 }
 
 // obsHandler serves the proxy's own observability surface: /healthz
 // and GET /metrics in the standard JSON shape (or ?format=prom).
-func (p *proxy) obsHandler() http.Handler {
+func obsHandler(metrics *obs.MetricSet) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -152,102 +136,13 @@ func (p *proxy) obsHandler() http.Handler {
 		switch format := r.URL.Query().Get("format"); format {
 		case "", "json":
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]map[string]int64{"metrics": p.metrics.Snapshot()})
+			json.NewEncoder(w).Encode(map[string]map[string]int64{"metrics": metrics.Snapshot()})
 		case "prom":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			obs.WriteProm(w, p.metrics.PromSnapshot())
+			obs.WriteProm(w, metrics.PromSnapshot())
 		default:
 			http.Error(w, fmt.Sprintf("unknown format %q (use json or prom)", format), http.StatusBadRequest)
 		}
 	})
 	return mux
-}
-
-func (p *proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		p.forward(w, r, 1)
-		return
-	}
-	p.requests.Inc()
-	p.mu.Lock()
-	idx := p.count
-	p.count++
-	p.mu.Unlock()
-
-	ev, ok := p.plan.Lookup(p.shard, idx)
-	if !ok {
-		p.forward(w, r, 1)
-		return
-	}
-	log.Printf("chaosproxy: request %d: injecting %s", idx, ev.Kind)
-	p.injected[ev.Kind].Inc()
-	switch ev.Kind {
-	case faultinject.KindRefuse:
-		// Abort the connection without writing a response: the client
-		// sees it die, as a refused/reset connection would.
-		panic(http.ErrAbortHandler)
-	case faultinject.KindHang:
-		<-r.Context().Done()
-	case faultinject.KindDelay:
-		ms := ev.DelayMS
-		if ms <= 0 {
-			ms = faultinject.DefaultDelayMS
-		}
-		select {
-		case <-time.After(time.Duration(ms) * time.Millisecond):
-		case <-r.Context().Done():
-			return
-		}
-		p.forward(w, r, 1)
-	case faultinject.KindError5xx:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "fault injected: shard %d request %d unavailable\n", p.shard, idx)
-	case faultinject.KindTruncate:
-		// Forward for real — the upstream processes the request — then
-		// cut the response off halfway: full Content-Length, half the
-		// bytes, connection closed. The client sees unexpected EOF.
-		p.forward(w, r, 2)
-	default:
-		p.forward(w, r, 1)
-	}
-}
-
-// forward proxies one request to the upstream, writing 1/div of the
-// response body (div 2 = the truncate fault).
-func (p *proxy) forward(w http.ResponseWriter, r *http.Request, div int) {
-	p.forwarded.Inc()
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.upstream+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	req.Header = r.Header.Clone()
-	resp, err := p.client.Do(req)
-	if err != nil {
-		// The upstream itself is unreachable: surface it as an aborted
-		// connection, the same signal the client gets from a dead shard.
-		log.Printf("chaosproxy: upstream: %v", err)
-		panic(http.ErrAbortHandler)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		panic(http.ErrAbortHandler)
-	}
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-	w.WriteHeader(resp.StatusCode)
-	if _, err := w.Write(body[:len(body)/div]); err != nil {
-		return
-	}
-	if div > 1 {
-		// Close the connection mid-transfer rather than letting the
-		// server pad or chunk-terminate the short body.
-		panic(http.ErrAbortHandler)
-	}
 }

@@ -1,14 +1,15 @@
 // Package faultinject is the deterministic fault-injection subsystem:
 // a seeded, schedule-driven plan of per-shard, per-request-index faults
 // (connection refused, latency spikes, truncated responses, injected
-// 5xx, hang-until-deadline) that can be applied in two places with one
-// format — as an http.RoundTripper wrapper for in-process chaos tests
-// (Transport) and as a standalone reverse proxy in front of a real
-// powerserve shard (cmd/chaosproxy). Because the schedule is a pure
-// function of its seed, every chaos run is replayable: the same plan
-// against the same request stream injects the same faults, which is
-// what lets the chaos equivalence tests demand byte-identical answers
-// under failure.
+// 5xx, hang-until-deadline) and Transport, the one http.RoundTripper
+// that applies it. In-process chaos tests wrap their shard clients
+// with a Transport; cmd/chaosproxy runs the same Transport behind an
+// httputil.ReverseProxy in front of a real powerserve shard, so one
+// JSON plan means the same faults in both places. Because the schedule
+// is a pure function of its seed, every chaos run is replayable: the
+// same plan against the same request stream injects the same faults,
+// which is what lets the chaos equivalence tests demand byte-identical
+// answers under failure.
 //
 // Fault placement discipline: every kind except Truncate fires BEFORE
 // the request reaches the shard, so a retried or re-routed attempt
@@ -81,38 +82,39 @@ const DefaultDelayMS = 25
 
 // Plan is a complete fault schedule: the seed it was generated from
 // (zero for hand-written plans) and the scheduled events. The same
-// plan file drives both Transport and cmd/chaosproxy.
+// plan file drives in-process Transports and cmd/chaosproxy.
 type Plan struct {
 	// Seed records the generator seed for provenance; replaying a chaos
 	// run needs only this number and the generation spec.
 	Seed uint64 `json:"seed,omitempty"`
 	// Events is the fault schedule, any order.
 	Events []Event `json:"events"`
-
-	index map[[2]int]Event
 }
 
 // Lookup returns the fault scheduled for the request-th eligible
-// request at shard, if any.
+// request at shard, if any. It only reads the plan, so any number of
+// Transports may share one plan and call it concurrently; plans hold
+// tens to hundreds of events, so a scan costs far less than the
+// request it decides.
 func (p *Plan) Lookup(shard, request int) (Event, bool) {
-	if p.index == nil {
-		p.index = make(map[[2]int]Event, len(p.Events))
-		for _, ev := range p.Events {
-			p.index[[2]int{ev.Shard, ev.Request}] = ev
+	for _, ev := range p.Events {
+		if ev.Shard == shard && ev.Request == request {
+			return ev, true
 		}
 	}
-	ev, ok := p.index[[2]int{shard, request}]
-	return ev, ok
+	return Event{}, false
 }
 
-// Validate rejects plans with unknown fault kinds or negative indices,
-// so a typo in a committed plan file fails loudly at load time rather
-// than silently never firing.
+// Validate rejects plans with unknown fault kinds, negative indices or
+// delays, or two events at one (shard, request) index, so a typo in a
+// committed plan file fails loudly at load time rather than silently
+// never firing or firing as something else.
 func (p *Plan) Validate() error {
 	known := make(map[Kind]bool)
 	for _, k := range Kinds() {
 		known[k] = true
 	}
+	seen := make(map[[2]int]bool, len(p.Events))
 	for i, ev := range p.Events {
 		if !known[ev.Kind] {
 			return fmt.Errorf("faultinject: event %d: unknown kind %q", i, ev.Kind)
@@ -120,6 +122,14 @@ func (p *Plan) Validate() error {
 		if ev.Shard < 0 || ev.Request < 0 {
 			return fmt.Errorf("faultinject: event %d: negative shard/request index", i)
 		}
+		if ev.DelayMS < 0 {
+			return fmt.Errorf("faultinject: event %d: negative delay_ms %d", i, ev.DelayMS)
+		}
+		at := [2]int{ev.Shard, ev.Request}
+		if seen[at] {
+			return fmt.Errorf("faultinject: event %d: duplicate event at shard %d request %d", i, ev.Shard, ev.Request)
+		}
+		seen[at] = true
 	}
 	return nil
 }
@@ -140,7 +150,7 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 
 // WritePlan encodes the plan as indented JSON, the exact shape
 // ReadPlan accepts.
-// Only TestPlanJSONRoundtrip calls it.
+// Only tests call it: TestPlanJSONRoundtrip and FuzzReadPlan.
 func (p *Plan) WritePlan(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

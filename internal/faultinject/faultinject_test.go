@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -53,13 +54,17 @@ func TestPlanJSONRoundtrip(t *testing.T) {
 }
 
 func TestReadPlanRejectsBadKind(t *testing.T) {
-	_, err := ReadPlan(strings.NewReader(`{"events":[{"shard":0,"request":1,"kind":"explode"}]}`))
-	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Fatalf("want unknown-kind error, got %v", err)
-	}
-	_, err = ReadPlan(strings.NewReader(`{"events":[{"shard":-1,"request":0,"kind":"refuse"}]}`))
-	if err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Fatalf("want negative-index error, got %v", err)
+	for _, tc := range []struct{ plan, want string }{
+		{`{"events":[{"shard":0,"request":1,"kind":"explode"}]}`, "unknown kind"},
+		{`{"events":[{"shard":-1,"request":0,"kind":"refuse"}]}`, "negative shard/request"},
+		{`{"events":[{"shard":0,"request":2,"kind":"delay","delay_ms":-5}]}`, "negative delay_ms"},
+		// Lookup could return only one of two events at an index.
+		{`{"events":[{"shard":0,"request":2,"kind":"refuse"},{"shard":0,"request":2,"kind":"delay"}]}`, "duplicate event"},
+	} {
+		_, err := ReadPlan(strings.NewReader(tc.plan))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadPlan(%s): want %q error, got %v", tc.plan, tc.want, err)
+		}
 	}
 }
 
@@ -72,6 +77,62 @@ func TestLookup(t *testing.T) {
 	if !ok || ev.Kind != KindRefuse {
 		t.Fatalf("want refuse at (1,3), got %+v ok=%v", ev, ok)
 	}
+}
+
+// TestLookupConcurrentFirstUse makes the first Lookups on one plan from
+// several goroutines at once, as Transports sharing a plan do; -race
+// reports any write Lookup makes to the plan.
+func TestLookupConcurrentFirstUse(t *testing.T) {
+	const shards, requests = 4, 32
+	p := Generate(GenSpec{Seed: 3, Shards: shards, Requests: requests, Rate: 0.5})
+	var wg sync.WaitGroup
+	for shard := 0; shard < shards; shard++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ev := range p.Events {
+				if ev.Shard != shard {
+					continue
+				}
+				if got, ok := p.Lookup(shard, ev.Request); !ok || got != ev {
+					t.Errorf("Lookup(%d, %d) = %+v, %v; want %+v", shard, ev.Request, got, ok, ev)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzReadPlan holds ReadPlan to its contract on any bytes: an input
+// either fails, or loads as a plan that Validate accepts, that
+// WritePlan and ReadPlan return with the same seed and events, and
+// whose Lookup finds each event at its index.
+func FuzzReadPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPlan(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ReadPlan loaded a plan Validate rejects: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := p.WritePlan(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadPlan(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("written plan does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if again.Seed != p.Seed || !reflect.DeepEqual(again.Events, p.Events) {
+			t.Fatalf("plan changed on its round trip:\nread:    %+v\nreread:  %+v", p, again)
+		}
+		for _, ev := range p.Events {
+			if got, ok := p.Lookup(ev.Shard, ev.Request); !ok || got != ev {
+				t.Fatalf("Lookup(%d, %d) = %+v, %v; want %+v", ev.Shard, ev.Request, got, ok, ev)
+			}
+		}
+	})
 }
 
 // upstream returns a test server echoing a fixed body, plus a counter
@@ -110,8 +171,8 @@ func TestTransportCountsOnlyPosts(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if tr.Requests() != 0 {
-		t.Fatalf("GETs counted: %d", tr.Requests())
+	if n := tr.Metrics().Snapshot()["chaos.requests"]; n != 0 {
+		t.Fatalf("GETs counted: %d", n)
 	}
 	// The first POST is request index 0 and must be refused.
 	if _, err := post(t, client, srv.URL); err == nil {
@@ -126,8 +187,17 @@ func TestTransportCountsOnlyPosts(t *testing.T) {
 		t.Fatalf("second POST: %v", err)
 	}
 	resp.Body.Close()
-	if tr.Requests() != 2 {
-		t.Fatalf("want 2 counted POSTs, got %d", tr.Requests())
+	want := map[string]int64{
+		"chaos.requests":          2,
+		"chaos.forwarded":         4, // three GETs and the second POST
+		"chaos.injected.refuse":   1,
+		"chaos.injected.hang":     0,
+		"chaos.injected.delay":    0,
+		"chaos.injected.error":    0,
+		"chaos.injected.truncate": 0,
+	}
+	if got := tr.Metrics().Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics = %v, want %v", got, want)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // sleepCtx sleeps for ms milliseconds or until ctx is done, whichever
@@ -30,10 +32,10 @@ func sleepCtx(ctx context.Context, ms int) error {
 // Transport applies a Plan's schedule for one shard to outgoing HTTP
 // requests: an http.RoundTripper wrapper that counts eligible requests
 // and injects the scheduled fault, forwarding everything else to the
-// wrapped transport untouched. It is the in-process twin of
-// cmd/chaosproxy — same plan, same counting rule, same fault
-// semantics — so a chaos test can move between httptest servers and
-// real binaries without changing its schedule.
+// wrapped transport untouched. In-process chaos tests wrap shard
+// clients with it, and cmd/chaosproxy runs it behind an
+// httputil.ReverseProxy, so the same plan injects the same faults
+// whether the shards are httptest servers or real binaries.
 //
 // Only POST requests count toward (and are eligible for) the schedule;
 // GET traffic — health, readiness and metrics probes — passes through
@@ -46,21 +48,28 @@ type Transport struct {
 	shard       int
 	next        http.RoundTripper
 	getPrefixes []string
+	count       atomic.Int64
 
-	mu    sync.Mutex
-	count int
+	metrics   *obs.MetricSet
+	requests  *obs.Counter
+	forwarded *obs.Counter
 }
 
 // NewTransport wraps next (nil = http.DefaultTransport) with the fault
 // schedule plan holds for shard.
-// Only tests call it: TestChaosEquivalence and TestChaosDuringResize
-// wrap shard clients with it (cmd/chaosproxy applies a plan as a proxy
-// instead).
 func NewTransport(plan *Plan, shard int, next http.RoundTripper) *Transport {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &Transport{plan: plan, shard: shard, next: next}
+	t := &Transport{plan: plan, shard: shard, next: next, metrics: obs.NewMetricSet()}
+	t.requests = t.metrics.Counter("chaos.requests")
+	t.forwarded = t.metrics.Counter("chaos.forwarded")
+	// Register every kind up front so a fault-free run still reports
+	// zeroed counters.
+	for _, k := range Kinds() {
+		t.metrics.Counter("chaos.injected." + string(k))
+	}
+	return t
 }
 
 // FaultGET makes GET requests whose path starts with any of the given
@@ -72,6 +81,12 @@ func (t *Transport) FaultGET(prefixes ...string) *Transport {
 	t.getPrefixes = append(t.getPrefixes, prefixes...)
 	return t
 }
+
+// Metrics returns what the transport did: chaos.requests (requests
+// counted toward the schedule), chaos.forwarded (requests passed to
+// the wrapped transport, so the upstream saw them) and one
+// chaos.injected.<kind> counter per fault kind.
+func (t *Transport) Metrics() *obs.MetricSet { return t.metrics }
 
 // eligible reports whether the request counts toward the schedule.
 func (t *Transport) eligible(req *http.Request) bool {
@@ -88,41 +103,44 @@ func (t *Transport) eligible(req *http.Request) bool {
 	return false
 }
 
-// Requests reports how many schedule-eligible (POST) requests have
-// passed through so far.
-// Only TestTransportCountsOnlyPosts calls it.
-func (t *Transport) Requests() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
+// forward passes req to the wrapped transport.
+func (t *Transport) forward(req *http.Request) (*http.Response, error) {
+	t.forwarded.Inc()
+	return t.next.RoundTrip(req)
 }
 
 // RoundTrip implements http.RoundTripper, injecting the scheduled
 // fault for this request's index if the plan has one.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !t.eligible(req) {
-		return t.next.RoundTrip(req)
+		return t.forward(req)
 	}
-	t.mu.Lock()
-	idx := t.count
-	t.count++
-	t.mu.Unlock()
-
+	t.requests.Inc()
+	idx := int(t.count.Add(1) - 1)
 	ev, ok := t.plan.Lookup(t.shard, idx)
 	if !ok {
-		return t.next.RoundTrip(req)
+		return t.forward(req)
 	}
+	t.metrics.Counter("chaos.injected." + string(ev.Kind)).Inc()
 	switch ev.Kind {
 	case KindRefuse:
 		return nil, fmt.Errorf("faultinject: shard %d request %d: connection refused", t.shard, idx)
 	case KindHang:
+		// Read the body first: an http.Server watches for its client
+		// going away only once the request body is read, so behind a
+		// ReverseProxy the context would otherwise never end. A read
+		// error changes nothing; the hang still waits for the context.
+		if req.Body != nil {
+			io.Copy(io.Discard, req.Body)
+			req.Body.Close()
+		}
 		<-req.Context().Done()
 		return nil, req.Context().Err()
 	case KindDelay:
 		if err := sleepCtx(req.Context(), ev.DelayMS); err != nil {
 			return nil, err
 		}
-		return t.next.RoundTrip(req)
+		return t.forward(req)
 	case KindError5xx:
 		// A non-JSON 503, as a sick proxy would emit: the cluster client
 		// cannot decode it and classifies the attempt as transport-level.
@@ -138,13 +156,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Request:    req,
 		}, nil
 	case KindTruncate:
-		resp, err := t.next.RoundTrip(req)
+		resp, err := t.forward(req)
 		if err != nil {
 			return nil, err
 		}
 		return truncateResponse(resp)
 	default:
-		return t.next.RoundTrip(req)
+		return t.forward(req)
 	}
 }
 
